@@ -172,7 +172,9 @@ set_tests_properties(warm_start_bench_baseline PROPERTIES
 
 # The multi-tenant server pin (quick mode for CTest): clean / overload /
 # chaos regimes, kill-and-resume exactness, BENCH_server.json artifact
-# gated by machine-stable bounds.
+# gated by machine-stable bounds.  The third test feeds the checker a
+# doctored artifact whose overload p99 ratio breaks its bound; it must
+# fail, which shows that the gate can fail.
 add_test(NAME server_bench_smoke
   COMMAND bench_server --quick)
 set_tests_properties(server_bench_smoke PROPERTIES
@@ -188,3 +190,10 @@ add_test(NAME server_bench_baseline
 set_tests_properties(server_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_server_json)
+add_test(NAME server_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/server.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/server_doctored.json)
+set_tests_properties(server_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)

@@ -243,33 +243,69 @@ const std::vector<double>& Asrtm::constraint_column(std::size_t handle) const {
   return column.values;
 }
 
-const std::vector<double>& Asrtm::rank_column() const {
-  RankColumn& column = rank_column_;
-  bool fresh = column.valid && column.versions.size() == rank_.terms.size();
-  if (fresh) {
-    for (std::size_t t = 0; t < rank_.terms.size(); ++t)
-      if (column.versions[t] != correction_versions_[rank_.terms[t].metric]) {
-        fresh = false;
-        break;
-      }
+void Asrtm::refresh_rank_columns() const {
+  if (rank_.composition != RankComposition::kGeometric) return;
+  RankColumn& cache = rank_column_;
+  const std::size_t n = knowledge_.size();
+  const bool rebuild_all = !cache.valid;
+  if (rebuild_all) {
+    std::size_t pow_terms = 0;
+    for (const RankTerm& term : rank_.terms) pow_terms += term.weight != 1.0;
+    cache.values.resize(pow_terms * n);
+    cache.versions.resize(pow_terms);
+    cache.valid = true;
   }
-  if (!fresh) {
-    const std::size_t n = knowledge_.size();
-    column.values.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      column.values[i] = rank_.evaluate(knowledge_, i, applied_corrections_);
-    column.versions.resize(rank_.terms.size());
-    for (std::size_t t = 0; t < rank_.terms.size(); ++t)
-      column.versions[t] = correction_versions_[rank_.terms[t].metric];
-    column.valid = true;
-    static Counter& recomputed =
-        MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
-    recomputed.add(1);
-    static Counter& rows =
-        MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
-    rows.add(n);
+  std::size_t column = 0;
+  for (const RankTerm& term : rank_.terms) {
+    if (term.weight == 1.0) continue;
+    const std::uint64_t version = correction_versions_[term.metric];
+    if (rebuild_all || cache.versions[column] != version) {
+      // No positivity check here: pow of a non-positive input is never
+      // read unless the point survives, and rank_value() checks those.
+      const double* means = knowledge_.metric_means(term.metric);
+      const double correction = applied_corrections_[term.metric];
+      const double weight = term.weight;
+      double* out = cache.values.data() + column * n;
+      for (std::size_t i = 0; i < n; ++i) out[i] = std::pow(means[i] * correction, weight);
+      cache.versions[column] = version;
+      static Counter& recomputed =
+          MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
+      recomputed.add(1);
+      static Counter& rows =
+          MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
+      rows.add(n);
+    }
+    ++column;
   }
-  return column.values;
+}
+
+double Asrtm::rank_value(std::size_t i) const {
+  // Same term order and operation sequence as Rank::evaluate, so the
+  // scores are bit-identical to the brute-force reference's.
+  if (rank_.composition == RankComposition::kLinear) {
+    double value = 0.0;
+    for (const RankTerm& term : rank_.terms)
+      value += term.weight *
+               (knowledge_.metric_means(term.metric)[i] * applied_corrections_[term.metric]);
+    return value;
+  }
+  const std::size_t n = knowledge_.size();
+  const double* pow_columns = rank_column_.values.data();
+  std::size_t at = i;  // point i of the next pow column
+  double value = 1.0;
+  for (const RankTerm& term : rank_.terms) {
+    const double metric =
+        knowledge_.metric_means(term.metric)[i] * applied_corrections_[term.metric];
+    SOCRATES_REQUIRE_MSG(metric > 0.0,
+                         "geometric rank requires positive metrics, got " << metric);
+    if (term.weight == 1.0) {
+      value *= metric;
+    } else {
+      value *= pow_columns[at];
+      at += n;
+    }
+  }
+  return value;
 }
 
 std::size_t Asrtm::decide_incremental() const {
@@ -345,20 +381,20 @@ std::size_t Asrtm::decide_incremental() const {
   }
   SOCRATES_ENSURE(alive_count != 0);
 
-  // Rank among the survivors, read from the cached rank column; the
+  // Rank among the survivors, composed from the cached pow columns; the
   // journal's runners-up come from a bounded top-k pass.  The first
   // alive index seeds the scan and strictly-better comparison keeps the
   // lowest index on ties, matching the reference exactly.
-  const std::vector<double>& ranks = rank_column();
+  refresh_rank_columns();
   const bool maximize = rank_.direction == RankDirection::kMaximize;
   std::size_t best = 0;
   while (alive[best] == 0) ++best;
-  double best_value = ranks[best];
+  double best_value = rank_value(best);
   TopCandidates top;
   if (journal_) top.insert({best, best_value}, maximize);
   for (std::size_t i = best + 1; i < n; ++i) {
     if (alive[i] == 0) continue;
-    const double value = ranks[i];
+    const double value = rank_value(i);
     if (journal_) top.insert({i, value}, maximize);
     const bool better = maximize ? value > best_value : value < best_value;
     if (better) {

@@ -33,10 +33,13 @@
 // the knowledge base stores metric columns structure-of-arrays (see
 // operating_point.hpp) and each constraint is applied as dense
 // mask/select passes over a contiguous double column — no per-point
-// indirection, autovectorizable — with a cached rank column feeding the
-// final selection scan.  A brute-force reference implementation of the
-// same semantics is retained behind set_decision_cache_enabled(false)
-// and differential tests assert the two are bit-identical.
+// indirection, autovectorizable.  The final selection scan composes each
+// survivor's rank from cached per-term pow columns (one per geometric
+// term whose weight is not 1, rebuilt only when that term's metric
+// moved) and plain products for the rest.  A brute-force reference
+// implementation of the same semantics is retained behind
+// set_decision_cache_enabled(false) and differential tests assert the
+// two are bit-identical.
 #pragma once
 
 #include <atomic>
@@ -292,15 +295,18 @@ class Asrtm {
     bool valid = false;
   };
 
-  /// Cached rank value of every operating point under the applied
-  /// corrections, invalidated by set_rank() or by a correction move of
-  /// any metric the rank reads (per-term version tags, like the
-  /// constraint columns).  Lets the selection scan read one contiguous
-  /// double column instead of re-evaluating pow/multiply per candidate
-  /// per decision.
+  /// Cached pow columns of the rank: for each geometric term whose
+  /// weight is not 1, pow(mean[i] * correction, weight) over every
+  /// operating point, stored term-major in `values` (n entries per such
+  /// term, in term order) and tagged with the correction version of its
+  /// metric, so a feedback move rebuilds only the term whose metric
+  /// moved.  Weight-1 terms and linear ranks need no pow and are not
+  /// cached: the selection scan composes each survivor's value on the
+  /// fly (rank_value), in Rank::evaluate's term order.  set_rank()
+  /// drops the layout.
   struct RankColumn {
-    std::vector<double> values;            ///< one entry per operating point
-    std::vector<std::uint64_t> versions;   ///< one entry per rank term
+    std::vector<double> values;            ///< term-major pow columns
+    std::vector<std::uint64_t> versions;   ///< one entry per pow column
     bool valid = false;
   };
 
@@ -321,8 +327,14 @@ class Asrtm {
   std::size_t fallback_safest(const std::vector<double>& corrections) const;
   /// The (lazily recomputed) constraint-value column for a constraint.
   const std::vector<double>& constraint_column(std::size_t handle) const;
-  /// The (lazily recomputed) rank-value column over all points.
-  const std::vector<double>& rank_column() const;
+  /// Rebuilds the pow columns whose metric's correction moved (all of
+  /// them after set_rank()).
+  void refresh_rank_columns() const;
+  /// Rank value of point `i` under the applied corrections, composed
+  /// from the pow columns exactly as Rank::evaluate composes it.
+  /// Throws like Rank::evaluate when a geometric term's metric is not
+  /// positive, so only the points the scan reads are checked.
+  double rank_value(std::size_t i) const;
   /// Records a journal entry when `chosen` differs from the previously
   /// journaled point.  `runners` holds the best non-chosen survivors,
   /// already ordered best-first and trimmed.  Always consumes the

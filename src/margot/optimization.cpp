@@ -56,7 +56,7 @@ double Rank::evaluate(const OperatingPoint& op,
     const double metric = corrected_metric(term);
     SOCRATES_REQUIRE_MSG(metric > 0.0,
                          "geometric rank requires positive metrics, got " << metric);
-    value *= std::pow(metric, term.weight);
+    value *= term.weight == 1.0 ? metric : std::pow(metric, term.weight);
   }
   return value;
 }
@@ -85,7 +85,9 @@ double Rank::evaluate(const KnowledgeBase& kb, std::size_t index,
     const double metric = corrected_metric(term);
     SOCRATES_REQUIRE_MSG(metric > 0.0,
                          "geometric rank requires positive metrics, got " << metric);
-    value *= std::pow(metric, term.weight);
+    // pow(x, 1.0) == x exactly; skipping it keeps weight-1 terms free,
+    // and the AS-RTM's selection scan composes them the same way.
+    value *= term.weight == 1.0 ? metric : std::pow(metric, term.weight);
   }
   return value;
 }

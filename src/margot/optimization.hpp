@@ -77,8 +77,9 @@ struct Rank {
   /// Column-addressed form of the above: identical arithmetic (term
   /// order, same multiply/pow sequence), but reads the means straight
   /// from the KB's SoA columns instead of materializing a point.  The
-  /// decision hot path and its brute-force reference both use this, so
-  /// the two stay bit-identical.
+  /// AS-RTM's brute-force reference uses this; its incremental path
+  /// composes the same terms in the same order from cached pow columns,
+  /// so the two stay bit-identical.  A weight of exactly 1.0 skips pow.
   double evaluate(const KnowledgeBase& kb, std::size_t index,
                   const std::vector<double>& correction = {}) const;
 

@@ -1,20 +1,25 @@
 // Differential and cache-invalidation tests for the incremental AS-RTM
 // decision engine.
 //
-// The incremental engine (epoch cache, per-constraint columns, scratch
-// buffers, bounded top-k) must be *bit-identical* to the retained
-// brute-force reference (set_decision_cache_enabled(false)): the fuzz
-// test drives randomized mutation/decide/feedback sequences through one
-// instance per mode and asserts identical chosen indices, feasibility,
-// corrections and journal records at every step.  The targeted tests
-// pin the invalidation rules one by one: clean epochs are served from
-// the cache, correction drift invalidates if and only if it exceeds the
-// decision epsilon, quarantine transitions dirty the epoch (and ticks
-// without active cooldowns do not), restore always lands dirty with a
-// monotonic epoch, and a correction move recomputes only the columns of
-// constraints on that metric.
+// The incremental engine (epoch cache, per-constraint columns, per-term
+// rank pow columns, scratch buffers, bounded top-k) must be
+// *bit-identical* to the retained brute-force reference
+// (set_decision_cache_enabled(false)): the fuzz test drives randomized
+// mutation/decide/feedback/rank-switch sequences through one instance
+// per mode, under every Rank factory, and asserts identical chosen
+// indices, feasibility, corrections and journal records (scores bit for
+// bit) at every step.  The targeted tests pin the invalidation rules one
+// by one: clean epochs are served from the cache, correction drift
+// invalidates if and only if it exceeds the decision epsilon, quarantine
+// transitions dirty the epoch (and ticks without active cooldowns do
+// not), restore always lands dirty with a monotonic epoch, a correction
+// move recomputes only the columns of constraints on that metric and
+// only the rank pow columns of terms on that metric, and a non-positive
+// rank metric on a point the selection never reads does not stop a
+// decision.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -50,6 +55,11 @@ KnowledgeBase fixed_kb() {
   return kb;
 }
 
+/// Bit pattern of a double: scores must match exactly, not within the
+/// 4 ULP EXPECT_DOUBLE_EQ allows, which is the size of the rounding a
+/// mis-ordered product would introduce.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
 /// Compares every journal field except the epoch: the reference
 /// instance pays one extra epoch bump for set_decision_cache_enabled(
 /// false), so epochs run at a constant offset while all decision
@@ -65,21 +75,39 @@ void expect_same_journals(const DecisionJournal& incremental,
     EXPECT_DOUBLE_EQ(it->timestamp_s, jt->timestamp_s);
     EXPECT_EQ(it->trigger, jt->trigger);
     EXPECT_EQ(it->chosen, jt->chosen);
-    EXPECT_DOUBLE_EQ(it->chosen_score, jt->chosen_score);
+    EXPECT_EQ(bits(it->chosen_score), bits(jt->chosen_score)) << it->sequence;
     EXPECT_EQ(it->feasible, jt->feasible);
     ASSERT_EQ(it->rejected.size(), jt->rejected.size());
     for (std::size_t r = 0; r < it->rejected.size(); ++r) {
       EXPECT_EQ(it->rejected[r].op_index, jt->rejected[r].op_index);
-      EXPECT_DOUBLE_EQ(it->rejected[r].score, jt->rejected[r].score);
+      EXPECT_EQ(bits(it->rejected[r].score), bits(jt->rejected[r].score))
+          << it->sequence;
     }
     EXPECT_EQ(it->quarantined, jt->quarantined);
   }
 }
 
-class AsrtmIncrementalFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// Every Rank factory, one linear rank, and one three-term geometric
+/// rank whose two pow terms sit around a weight-1 term: with three
+/// factors the product order changes the rounding, and the second pow
+/// term reads the second term-major column.  The fuzz starts each seed
+/// under each of them and switches among them mid-stream, as Fig. 5
+/// does at run time.
+std::vector<Rank> fuzz_ranks() {
+  return {Rank::maximize_throughput(kThr),
+          Rank::maximize_throughput_per_watt2(kThr, kPower),
+          Rank::minimize_exec_time(kTime),
+          Rank::minimize_energy(kTime, kPower),
+          Rank::minimize_energy_delay(kTime, kPower),
+          Rank::linear(RankDirection::kMinimize, {{kTime, 3.0}, {kPower, 0.05}}),
+          Rank{RankDirection::kMaximize, {{kPower, -1.5}, {kThr, 1.0}, {kTime, 0.5}}}};
+}
 
-TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
-  Rng rng(GetParam());
+/// Drives one seeded mutation/decide/feedback sequence through an
+/// incremental and a brute-force instance, starting under ranks[first].
+void fuzz_against_reference(std::uint64_t seed, const std::vector<Rank>& ranks,
+                            std::size_t first) {
+  Rng rng(seed);
   const KnowledgeBase kb = random_kb(rng, 24);
 
   Asrtm fast(kb);
@@ -88,7 +116,7 @@ TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
   for (Asrtm* a : {&fast, &slow}) {
     a->set_quarantine_options({1, 2, 16});
     a->set_feedback_inertia(0.4);
-    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+    a->set_rank(ranks[first]);
     a->enable_decision_journal(256);
     a->add_constraint({kPower, ComparisonOp::kLessEqual, 120.0, 0, 1.0});
     a->add_constraint({kThr, ComparisonOp::kGreaterEqual, 0.15, 1, 0.0});
@@ -100,7 +128,7 @@ TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
 
   double now = 0.0;
   for (int round = 0; round < 400; ++round) {
-    const int op = static_cast<int>(rng.uniform_int(0, 8));
+    const int op = static_cast<int>(rng.uniform_int(0, 9));
     switch (op) {
       case 0: {
         const double goal = rng.uniform(40.0, 160.0);
@@ -146,6 +174,12 @@ TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
         slow.note_decision_trigger(note.str());
         break;
       }
+      case 7: {
+        const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(ranks.size()) - 1);
+        fast.set_rank(ranks[pick]);
+        slow.set_rank(ranks[pick]);
+        break;
+      }
       default:
         break;  // decide on an untouched epoch (exercises the cache)
     }
@@ -155,10 +189,21 @@ TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
     ASSERT_EQ(fast.last_selection_feasible(), slow.last_selection_feasible())
         << "round " << round;
     for (std::size_t m = 0; m < 3; ++m)
-      ASSERT_DOUBLE_EQ(fast.correction(m), slow.correction(m));
+      ASSERT_EQ(bits(fast.correction(m)), bits(slow.correction(m)));
   }
   EXPECT_GT(fast.decision_journal().total_decisions(), 0u);
   expect_same_journals(fast.decision_journal(), slow.decision_journal());
+}
+
+class AsrtmIncrementalFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
+  const std::vector<Rank> ranks = fuzz_ranks();
+  for (std::size_t first = 0; first < ranks.size(); ++first) {
+    SCOPED_TRACE(testing::Message() << "initial rank " << first);
+    fuzz_against_reference(GetParam(), ranks, first);
+    if (HasFatalFailure()) return;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AsrtmIncrementalFuzz,
@@ -372,6 +417,82 @@ TEST(AsrtmIncremental, ColumnsRecomputedOnlyForDirtyMetric) {
   asrtm.invalidate_decision_cache();
   (void)asrtm.find_best_operating_point();
   EXPECT_EQ(recomputed.value(), base + 2);
+}
+
+// Throughput/W^2 has one pow term (power^-2); throughput has weight 1 and
+// is composed on the fly.  Only feedback on the pow term's metric may
+// rebuild a rank column, and a rank switch rebuilds the new rank's.
+TEST(AsrtmIncremental, RankPowColumnRebuiltOnlyForItsMetric) {
+  Asrtm asrtm(fixed_kb());
+  asrtm.set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+  asrtm.set_feedback_inertia(1.0);
+  Counter& recomputed =
+      MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
+
+  (void)asrtm.find_best_operating_point();  // builds the power^-2 column
+  std::uint64_t base = recomputed.value();
+
+  asrtm.send_feedback(1, kThr, 0.3);
+  (void)asrtm.find_best_operating_point();
+  EXPECT_FALSE(asrtm.last_decision_was_cached());
+  EXPECT_EQ(recomputed.value(), base);
+
+  asrtm.send_feedback(1, kPower, 88.0);
+  (void)asrtm.find_best_operating_point();
+  EXPECT_EQ(recomputed.value(), base + 1);
+  base = recomputed.value();
+
+  // Energy-delay: power^1 * time^2, one pow column (time).
+  asrtm.set_rank(Rank::minimize_energy_delay(kTime, kPower));
+  (void)asrtm.find_best_operating_point();
+  EXPECT_EQ(recomputed.value(), base + 1);
+  base = recomputed.value();
+  asrtm.send_feedback(1, kPower, 90.0);
+  (void)asrtm.find_best_operating_point();
+  EXPECT_EQ(recomputed.value(), base);
+
+  // Weight-1-only and linear ranks cache nothing.
+  asrtm.set_rank(Rank::minimize_energy(kTime, kPower));
+  (void)asrtm.find_best_operating_point();
+  asrtm.set_rank(Rank::linear(RankDirection::kMinimize, {{kTime, 2.0}}));
+  (void)asrtm.find_best_operating_point();
+  EXPECT_EQ(recomputed.value(), base);
+}
+
+// A geometric rank needs positive metrics, but only on the points the
+// selection reads: a zero-mean point that a constraint filters out or
+// that sits in quarantine must not stop the decision, in either mode.
+TEST(AsrtmIncremental, NonPositiveRankMetricOffTheSurvivorsStillDecides) {
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  kb.add(OperatingPoint{{0}, {{1.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}}});  // stalled
+  kb.add(OperatingPoint{{1}, {{2.0, 0.0}, {80.0, 0.0}, {0.5, 0.0}}});
+  kb.add(OperatingPoint{{2}, {{4.0, 0.0}, {60.0, 0.0}, {0.25, 0.0}}});
+  Asrtm fast(kb);
+  Asrtm slow(kb);
+  slow.set_decision_cache_enabled(false);
+  for (Asrtm* a : {&fast, &slow}) {
+    a->set_quarantine_options({1, 4, 16});
+    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+    a->add_constraint({kThr, ComparisonOp::kGreaterEqual, 0.1, 0, 0.0});
+  }
+  // Filtered out by the constraint: op1 (0.5/80^2) beats op2 (0.25/60^2).
+  EXPECT_EQ(fast.find_best_operating_point(), 1u);
+  EXPECT_EQ(slow.find_best_operating_point(), 1u);
+
+  // Excluded by quarantine instead.
+  for (Asrtm* a : {&fast, &slow}) {
+    a->clear_constraints();
+    a->report_variant_failure(0);
+  }
+  EXPECT_EQ(fast.find_best_operating_point(), 1u);
+  EXPECT_EQ(slow.find_best_operating_point(), 1u);
+
+  // Once the zero-mean point survives, both modes refuse alike.
+  for (Asrtm* a : {&fast, &slow})
+    for (int i = 0; i < 4; ++i) a->advance_quarantine();
+  EXPECT_FALSE(fast.is_quarantined(0));
+  EXPECT_THROW((void)fast.find_best_operating_point(), ContractViolation);
+  EXPECT_THROW((void)slow.find_best_operating_point(), ContractViolation);
 }
 
 TEST(AsrtmIncremental, DisablingTheCacheStillDecidesCorrectly) {
