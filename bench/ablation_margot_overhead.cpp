@@ -32,9 +32,9 @@
 // runs exactly this assertion so a regression of the O(1) path fails CI.
 // The same artifact pins the dirty path on a drift-shaped loop
 // (Throughput/W^2 rank, feedback alternating throughput and power before
-// every decision): the baseline gate bounds the pow-term rank columns
-// rebuilt per decision (<= 0.5: only power feedback moves the pow term)
-// and the allocations (0).
+// every decision): the baseline gate bounds the exact rank scores each
+// dirty decision computes (the best-first walk stops after a handful,
+// where a sweep scores every feasible point) and the allocations (0).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -301,13 +301,13 @@ class DriftLoop {
 
 struct DirtyPin {
   double ns = 0.0;                        ///< per feedback + dirty decision
-  double rank_columns_per_decision = 0.0;
+  double scores_per_decision = 0.0;       ///< exact rank scores computed
   std::uint64_t allocs = 0;
   std::uint64_t cached_decisions = 0;     ///< must stay 0: every decision is dirty
 };
 
 /// Measures the drift loop once warm: wall time per step (best of
-/// trials), pow-term rank columns rebuilt per decision, and heap
+/// trials), exact rank scores computed per decision, and heap
 /// allocations over the whole measured window.
 DirtyPin run_dirty_pin(std::size_t n) {
   constexpr std::size_t kSteps = 2000;
@@ -315,11 +315,10 @@ DirtyPin run_dirty_pin(std::size_t n) {
   DriftLoop loop(n);
   for (int i = 0; i < 16; ++i) benchmark::DoNotOptimize(loop.step());
 
-  Counter& rank_columns =
-      MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
+  Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
   DirtyPin pin;
   pin.ns = std::numeric_limits<double>::infinity();
-  const std::uint64_t columns_before = rank_columns.value();
+  const std::uint64_t scores_before = scores.value();
   const std::uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
   for (std::size_t trial = 0; trial < kTrials; ++trial) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -332,9 +331,8 @@ DirtyPin run_dirty_pin(std::size_t n) {
                                   static_cast<double>(kSteps));
   }
   pin.allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
-  pin.rank_columns_per_decision =
-      static_cast<double>(rank_columns.value() - columns_before) /
-      static_cast<double>(kTrials * kSteps);
+  pin.scores_per_decision = static_cast<double>(scores.value() - scores_before) /
+                            static_cast<double>(kTrials * kSteps);
   return pin;
 }
 
@@ -383,7 +381,7 @@ bool run_decision_scaling_check() {
 
   // Machine-readable artifact for the baseline gate
   // (bench/baselines/margot_overhead.json): bounds live on the ratio
-  // and the allocation and column counts, which are hardware-independent.
+  // and the allocation and score counts, which are hardware-independent.
   JsonWriter w;
   w.begin_object();
   w.kv("operating_points", static_cast<std::uint64_t>(kPoints));
@@ -395,7 +393,7 @@ bool run_decision_scaling_check() {
   w.kv("steady_allocs", steady_allocs);
   w.end_object();
   w.key("dirty").begin_object();
-  w.kv("rank_columns_per_decision", dirty.rank_columns_per_decision);
+  w.kv("scores_per_decision", dirty.scores_per_decision);
   w.kv("allocs", dirty.allocs);
   w.kv("cached_decisions", dirty.cached_decisions);
   w.end_object();
@@ -409,8 +407,8 @@ bool run_decision_scaling_check() {
       static_cast<unsigned long long>(steady_allocs));
   std::printf(
       "drift (Thr/W^2, feedback before every decide) @%zu OPs: dirty=%.0fns "
-      "rank_columns/decision=%.3f allocs=%llu cached=%llu\n",
-      kPoints, dirty.ns, dirty.rank_columns_per_decision,
+      "scores/decision=%.3f allocs=%llu cached=%llu\n",
+      kPoints, dirty.ns, dirty.scores_per_decision,
       static_cast<unsigned long long>(dirty.allocs),
       static_cast<unsigned long long>(dirty.cached_decisions));
   const bool ok = ratio >= kMinSpeedup && steady_allocs == 0;

@@ -38,7 +38,9 @@ set_target_properties(bench_baseline_check PROPERTIES
 # the bench's built-in steady-vs-cold assertion, which prints PASS/FAIL
 # and exits non-zero on a regression of the O(1) decision path.  The
 # run also emits BENCH_margot_overhead.json, which the *_baseline test
-# gates against the committed bounds.
+# gates against the committed bounds.  The third test feeds the checker
+# a doctored artifact whose dirty decisions score every point under the
+# cap; it must fail, which shows that the gate can fail.
 add_test(NAME decision_bench_smoke
   COMMAND ablation_margot_overhead
           --benchmark_filter=AsrtmDecide
@@ -56,6 +58,13 @@ add_test(NAME decision_bench_baseline
 set_tests_properties(decision_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_margot_overhead_json)
+add_test(NAME margot_overhead_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/margot_overhead.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/margot_overhead_doctored.json)
+set_tests_properties(margot_overhead_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
 
 # The DSE-strategy pin (quick mode for CTest): two-stage seeded+genetic
 # exploration on a two-kernel subset at the default (tiny) budget, with

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -107,7 +109,7 @@ void Asrtm::set_rank(Rank rank) {
   for (const auto& term : rank.terms)
     SOCRATES_REQUIRE(term.metric < knowledge_.metric_names().size());
   rank_ = std::move(rank);
-  rank_column_.valid = false;
+  rank_order_.built = false;
   touch_decision();
   if (journal_) note_decision_trigger("rank changed");
 }
@@ -134,32 +136,53 @@ double Asrtm::violation(std::size_t op, const Constraint& c) const {
 
 namespace {
 
-/// Bounded best-first buffer for the journal's runners-up: the chosen
-/// point plus up to kMaxRejected others, maintained by stable insertion
-/// (equal scores keep arrival order) so its contents match what a
-/// stable sort of all scored candidates would put first.
+/// Bounded best-first buffer: the chosen point plus up to kMaxRejected
+/// runners-up, ordered by score and then by index, which is what a
+/// stable sort of all scored candidates in index order puts first.
+/// `keys` moves with the entries; the rank-order walk reads the key of
+/// the last entry it must keep exact.
 constexpr std::size_t kMaxRejected = 3;
 
 struct TopCandidates {
   std::array<DecisionCandidate, kMaxRejected + 1> entries;
+  std::array<double, kMaxRejected + 1> keys{};
   std::size_t count = 0;
 
-  void insert(DecisionCandidate candidate, bool maximize) {
+  void insert(DecisionCandidate candidate, bool maximize, double key = 0.0) {
     std::size_t pos = count;
     while (pos > 0) {
-      const double prev = entries[pos - 1].score;
-      const bool prev_not_worse =
-          maximize ? prev >= candidate.score : prev <= candidate.score;
-      if (prev_not_worse) break;
+      const DecisionCandidate& prev = entries[pos - 1];
+      const bool prev_better =
+          maximize ? prev.score > candidate.score : prev.score < candidate.score;
+      if (prev_better ||
+          (prev.score == candidate.score && prev.op_index < candidate.op_index))
+        break;
       --pos;
     }
     if (pos >= entries.size()) return;  // worse than every kept entry
     const std::size_t last = std::min(count, entries.size() - 1);
-    for (std::size_t j = last; j > pos; --j) entries[j] = entries[j - 1];
+    for (std::size_t j = last; j > pos; --j) {
+      entries[j] = entries[j - 1];
+      keys[j] = keys[j - 1];
+    }
     entries[pos] = candidate;
+    keys[pos] = key;
     if (count < entries.size()) ++count;
   }
 };
+
+/// +1 when a constraint's violation grows with its value (an upper
+/// bound), -1 otherwise; the violation is max(sign * (value - goal), 0).
+double violation_sign(const Constraint& c) {
+  return c.op == ComparisonOp::kLess || c.op == ComparisonOp::kLessEqual ? 1.0 : -1.0;
+}
+
+/// Low mantissa bits of a rank-order entry that hold the point index:
+/// as few as index n - 1 needs, so a key keeps 52 - bit_width(n - 1)
+/// bits of mantissa (43 at 512 points).
+std::uint64_t rank_order_index_mask(std::size_t n) {
+  return (std::uint64_t{1} << std::bit_width(n - 1)) - 1;
+}
 
 }  // namespace
 
@@ -243,72 +266,191 @@ const std::vector<double>& Asrtm::constraint_column(std::size_t handle) const {
   return column.values;
 }
 
-void Asrtm::refresh_rank_columns() const {
-  if (rank_.composition != RankComposition::kGeometric) return;
-  RankColumn& cache = rank_column_;
-  const std::size_t n = knowledge_.size();
-  const bool rebuild_all = !cache.valid;
-  if (rebuild_all) {
-    std::size_t pow_terms = 0;
-    for (const RankTerm& term : rank_.terms) pow_terms += term.weight != 1.0;
-    cache.values.resize(pow_terms * n);
-    cache.versions.resize(pow_terms);
-    cache.valid = true;
-  }
-  std::size_t column = 0;
-  for (const RankTerm& term : rank_.terms) {
-    if (term.weight == 1.0) continue;
-    const std::uint64_t version = correction_versions_[term.metric];
-    if (rebuild_all || cache.versions[column] != version) {
-      // No positivity check here: pow of a non-positive input is never
-      // read unless the point survives, and rank_value() checks those.
-      const double* means = knowledge_.metric_means(term.metric);
+double Asrtm::rank_stop_factor(bool corrected) const {
+  // Binade bounds of positive values: a mean of term t lies in
+  // [2^min, 2^(max+1)) and a correction with exponent e in
+  // [2^e, 2^(e+1)), so their product lies in [2^(min+e), 2^(max+e+2)).
+  // Keeping every base, factor and partial product inside
+  // +-kSafeExponent (the normal range is [-1022, 1024)) makes each
+  // rounding relative, which is what the margin below bounds.  A key's
+  // multiplied-out square lies between its base and its factor.
+  constexpr double kSafeExponent = 1000.0;
+  const bool linear = rank_.composition == RankComposition::kLinear;
+  double product_low = 0.0;
+  double product_high = 0.0;
+  double error_units = 0.0;
+  for (std::size_t t = 0; t < rank_.terms.size(); ++t) {
+    const RankTerm& term = rank_.terms[t];
+    const RankOrder::TermExponents& bounds = rank_order_.exponents[t];
+    double base_low = bounds.min;
+    double base_high = bounds.max + 1.0;
+    if (corrected) {
       const double correction = applied_corrections_[term.metric];
-      const double weight = term.weight;
-      double* out = cache.values.data() + column * n;
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::pow(means[i] * correction, weight);
-      cache.versions[column] = version;
-      static Counter& recomputed =
-          MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
-      recomputed.add(1);
-      static Counter& rows =
-          MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
-      rows.add(n);
+      if (!(correction > 0.0 && std::isnormal(correction))) return 0.0;
+      const int e = std::ilogb(correction);
+      base_low += e;
+      base_high += e + 1.0;
     }
-    ++column;
+    double factor_low = 0.0;
+    double factor_high = 0.0;
+    if (linear) {
+      // weight * metric: ilogb(0) and ilogb(NaN) fail the range test.
+      const int e = std::ilogb(term.weight);
+      factor_low = base_low + e;
+      factor_high = base_high + e + 1.0;
+    } else {
+      factor_low = term.weight * base_low;
+      factor_high = term.weight * base_high;
+      if (factor_low > factor_high) std::swap(factor_low, factor_high);
+    }
+    product_low += factor_low;
+    product_high += factor_high;
+    for (const double exponent :
+         {base_low, base_high, factor_low, factor_high, product_low, product_high})
+      if (!(std::abs(exponent) <= kSafeExponent)) return 0.0;
+    // A term costs a key and a score at most (|w| + 4) roundings each:
+    // |w| from the rounded base raised to w, the rest from pow (or the
+    // key's square), the product and the key's division.
+    error_units += (linear ? 1.0 : std::abs(term.weight)) + 4.0;
   }
+  // Truncating a key to make room for the index costs less than
+  // 2^bits units.  Two points, each off by key and score rounding, then
+  // compared once more: about 4 * error_units units of 2^-53 at most,
+  // and 2^-40 per unit leaves a factor of 2048 of headroom.
+  error_units += static_cast<double>(rank_order_index_mask(knowledge_.size())) + 1.0;
+  return 1.0 + std::ldexp(error_units, -40);
 }
 
-double Asrtm::rank_value(std::size_t i) const {
-  // Same term order and operation sequence as Rank::evaluate, so the
-  // scores are bit-identical to the brute-force reference's.
-  if (rank_.composition == RankComposition::kLinear) {
-    double value = 0.0;
-    for (const RankTerm& term : rank_.terms)
-      value += term.weight *
-               (knowledge_.metric_means(term.metric)[i] * applied_corrections_[term.metric]);
-    return value;
-  }
+void Asrtm::build_rank_order() const {
+  RankOrder& order = rank_order_;
+  order.built = true;
+  order.tail_sorted = false;
+  order.entries.clear();
+  const bool linear = rank_.composition == RankComposition::kLinear;
+  // A sum of several terms moves unevenly under corrections: no order.
+  if (linear && rank_.terms.size() != 1) return;
+
+  // key = product of mean^(+-w), oriented so a larger key ranks better;
+  // a single linear term keeps only the sign of its weight (its
+  // magnitude scales every score alike).  Squares are multiplied out:
+  // the key only orders points and bounds the stop.  The keys go into
+  // the dense path's violation scratch, a contiguous column.
   const std::size_t n = knowledge_.size();
-  const double* pow_columns = rank_column_.values.data();
-  std::size_t at = i;  // point i of the next pow column
-  double value = 1.0;
-  for (const RankTerm& term : rank_.terms) {
-    const double metric =
-        knowledge_.metric_means(term.metric)[i] * applied_corrections_[term.metric];
-    SOCRATES_REQUIRE_MSG(metric > 0.0,
-                         "geometric rank requires positive metrics, got " << metric);
-    if (term.weight == 1.0) {
-      value *= metric;
+  double* keys = scratch_violations_.data();
+  std::fill(keys, keys + n, 1.0);
+  order.exponents.resize(rank_.terms.size());
+  const double orient = rank_.direction == RankDirection::kMaximize ? 1.0 : -1.0;
+  for (std::size_t t = 0; t < rank_.terms.size(); ++t) {
+    const RankTerm& term = rank_.terms[t];
+    const double* means = knowledge_.metric_means(term.metric);
+    double low = means[0];
+    double high = means[0];
+    for (std::size_t i = 1; i < n; ++i) {
+      low = std::min(low, means[i]);
+      high = std::max(high, means[i]);
+    }
+    if (!(low > 0.0 && std::isnormal(low) && std::isnormal(high))) return;
+    order.exponents[t] = {std::ilogb(low), std::ilogb(high)};
+    const double exponent =
+        orient * (linear ? (term.weight > 0.0 ? 1.0 : -1.0) : term.weight);
+    if (exponent == 1.0) {
+      for (std::size_t i = 0; i < n; ++i) keys[i] *= means[i];
+    } else if (exponent == -1.0) {
+      for (std::size_t i = 0; i < n; ++i) keys[i] /= means[i];
+    } else if (exponent == 2.0) {
+      for (std::size_t i = 0; i < n; ++i) keys[i] *= means[i] * means[i];
+    } else if (exponent == -2.0) {
+      for (std::size_t i = 0; i < n; ++i) keys[i] /= means[i] * means[i];
     } else {
-      value *= pow_columns[at];
-      at += n;
+      for (std::size_t i = 0; i < n; ++i) keys[i] *= std::pow(means[i], exponent);
     }
   }
-  return value;
+  // Indices must leave the exponent and most of the mantissa alone.
+  if (std::bit_width(n - 1) > 32) return;
+  if (rank_stop_factor(/*corrected=*/false) == 0.0) return;
+  bool all_normal = true;
+  for (std::size_t i = 0; i < n; ++i)
+    all_normal &= (keys[i] >= std::numeric_limits<double>::min()) &
+                  (keys[i] <= std::numeric_limits<double>::max());
+  if (!all_normal) return;
+
+  const std::uint64_t mask = rank_order_index_mask(n);
+  order.entries.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    order.entries[i] = (std::bit_cast<std::uint64_t>(keys[i]) & ~mask) | i;
+  const auto head = order.entries.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(n, RankOrder::kSortedHead));
+  std::nth_element(order.entries.begin(), head, order.entries.end(), std::greater<>());
+  std::sort(order.entries.begin(), head, std::greater<>());
 }
 
 std::size_t Asrtm::decide_incremental() const {
+  if (!rank_order_.built) build_rank_order();
+  if (!rank_order_.entries.empty()) {
+    const double stop_factor = rank_stop_factor(/*corrected=*/true);
+    std::size_t chosen = 0;
+    if (stop_factor != 0.0 && decide_by_walk(chosen, stop_factor)) return chosen;
+  }
+  return decide_dense();
+}
+
+bool Asrtm::decide_by_walk(std::size_t& chosen, double stop_factor) const {
+  // The walk tests the same constraint columns as the dense pass, with
+  // the same expression, so both agree on every point.
+  for (const std::size_t handle : sorted_constraints_) (void)constraint_column(handle);
+  const auto feasible = [this](std::size_t i) {
+    for (const std::size_t handle : sorted_constraints_) {
+      const Constraint& c = constraints_[handle];
+      const double value = columns_[handle].values[i];
+      if (std::max(violation_sign(c) * (value - c.goal), 0.0) != 0.0) return false;
+    }
+    return health_[i].cooldown == 0;
+  };
+
+  RankOrder& order = rank_order_;
+  const bool maximize = rank_.direction == RankDirection::kMaximize;
+  // The leader must be exact; with the journal on, so must the three
+  // runners-up.
+  const std::size_t exact = journal_ ? kMaxRejected + 1 : 1;
+  TopCandidates top;
+  std::uint64_t scored = 0;
+  const std::size_t n = order.entries.size();
+  const std::uint64_t mask = rank_order_index_mask(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    if (pos == RankOrder::kSortedHead && !order.tail_sorted) {
+      std::sort(order.entries.begin() + static_cast<std::ptrdiff_t>(pos),
+                order.entries.end(), std::greater<>());
+      order.tail_sorted = true;
+    }
+    const std::uint64_t entry = order.entries[pos];
+    const double key = std::bit_cast<double>(entry & ~mask);
+    // Keys only fall from here on.  Once this one trails the key of the
+    // last candidate that must stay exact by more than rounding can
+    // explain, every later point scores strictly worse than it.
+    if (top.count >= exact && key * stop_factor < top.keys[exact - 1]) break;
+    const std::size_t i = entry & mask;
+    if (!feasible(i)) continue;
+    top.insert({i, rank_.evaluate(knowledge_, i, applied_corrections_)}, maximize, key);
+    ++scored;
+  }
+  // No unquarantined point meets every constraint: relaxation (or the
+  // all-quarantined fallback) is the dense path's job.
+  if (top.count == 0) return false;
+
+  static Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
+  walks.add(1);
+  static Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
+  scores.add(scored);
+  last_feasible_ = true;
+  chosen = top.entries[0].op_index;
+  if (journal_)
+    journal_switch(chosen, top.entries[0].score,
+                   {top.entries.begin() + 1,
+                    top.entries.begin() + static_cast<std::ptrdiff_t>(top.count)});
+  return true;
+}
+
+std::size_t Asrtm::decide_dense() const {
   // Dense, branchless sweep: instead of compacting surviving candidate
   // indices per constraint, every pass streams all n points and folds
   // the result into an alive mask.  The per-element work is a handful
@@ -341,9 +483,7 @@ std::size_t Asrtm::decide_incremental() const {
     // ComparisonOps — at value == goal both give exactly 0, and the
     // strict/non-strict distinction only moves points between "v == 0"
     // and "v == 0", never changes v.
-    const bool upper =
-        c.op == ComparisonOp::kLess || c.op == ComparisonOp::kLessEqual;
-    const double sign = upper ? 1.0 : -1.0;
+    const double sign = violation_sign(c);
     for (std::size_t i = 0; i < n; ++i)
       violations[i] = std::max(sign * (column[i] - goal), 0.0);
     rows_swept += n;
@@ -381,20 +521,19 @@ std::size_t Asrtm::decide_incremental() const {
   }
   SOCRATES_ENSURE(alive_count != 0);
 
-  // Rank among the survivors, composed from the cached pow columns; the
-  // journal's runners-up come from a bounded top-k pass.  The first
-  // alive index seeds the scan and strictly-better comparison keeps the
-  // lowest index on ties, matching the reference exactly.
-  refresh_rank_columns();
+  // Rank among the survivors; the journal's runners-up come from a
+  // bounded top-k pass.  The first alive index seeds the scan and
+  // strictly-better comparison keeps the lowest index on ties, matching
+  // the reference exactly.
   const bool maximize = rank_.direction == RankDirection::kMaximize;
   std::size_t best = 0;
   while (alive[best] == 0) ++best;
-  double best_value = rank_value(best);
+  double best_value = rank_.evaluate(knowledge_, best, applied_corrections_);
   TopCandidates top;
   if (journal_) top.insert({best, best_value}, maximize);
   for (std::size_t i = best + 1; i < n; ++i) {
     if (alive[i] == 0) continue;
-    const double value = rank_value(i);
+    const double value = rank_.evaluate(knowledge_, i, applied_corrections_);
     if (journal_) top.insert({i, value}, maximize);
     const bool better = maximize ? value > best_value : value < best_value;
     if (better) {
@@ -405,6 +544,8 @@ std::size_t Asrtm::decide_incremental() const {
   static Counter& rows =
       MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
   rows.add(rows_swept);
+  static Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
+  scores.add(alive_count);
   if (journal_) {
     std::vector<DecisionCandidate> runners;
     runners.reserve(kMaxRejected);
@@ -523,6 +664,7 @@ void Asrtm::set_decision_cache_enabled(bool enabled) {
 void Asrtm::invalidate_decision_cache() {
   for (std::size_t m = 0; m < correction_versions_.size(); ++m)
     ++correction_versions_[m];
+  rank_order_.built = false;
   touch_decision();
 }
 
@@ -605,33 +747,35 @@ void Asrtm::send_feedback(std::size_t op_index, std::size_t metric, double obser
   SOCRATES_ASRTM_GUARD("send_feedback");
   SOCRATES_REQUIRE(op_index < knowledge_.size());
   SOCRATES_REQUIRE(metric < corrections_.size());
-  if (!std::isfinite(observed) || observed <= 0.0) {
-    // A stalled kernel legitimately observes zero throughput; reject the
-    // sample like the monitors reject invalid samples instead of
-    // aborting the process, and leave the correction untouched.
+  // A stalled kernel legitimately observes zero throughput; such a sample
+  // is rejected like the monitors reject invalid samples instead of
+  // aborting the process, and leaves the correction untouched.  So is a
+  // ratio that overflows or underflows: one inf would pin the running
+  // average at inf for good.
+  bool valid = std::isfinite(observed) && observed > 0.0;
+  double instant_ratio = 0.0;
+  if (valid) {
+    const double predicted = knowledge_.metric_means(metric)[op_index];
+    SOCRATES_REQUIRE_MSG(predicted > 0.0, "cannot adapt a zero-mean metric");
+    instant_ratio = observed / predicted;
+    valid = std::isnormal(instant_ratio);  // both operands are positive
+  }
+  RuntimeEvent event;
+  event.op = op_index;
+  event.metric = metric;
+  event.value = observed;
+  if (valid) {
+    corrections_[metric] =
+        (1.0 - feedback_alpha_) * corrections_[metric] + feedback_alpha_ * instant_ratio;
+    accept_correction(metric);
+    event.kind = RuntimeEvent::Kind::kFeedback;
+  } else {
     ++feedback_rejected_;
     static Counter& rejected =
         MetricsRegistry::global().counter("asrtm.feedback_rejected");
     rejected.add(1);
-    RuntimeEvent event;
     event.kind = RuntimeEvent::Kind::kFeedbackRejected;
-    event.op = op_index;
-    event.metric = metric;
-    event.value = observed;
-    emit(event);
-    return;
   }
-  const double predicted = knowledge_.metric_means(metric)[op_index];
-  SOCRATES_REQUIRE_MSG(predicted > 0.0, "cannot adapt a zero-mean metric");
-  const double instant_ratio = observed / predicted;
-  corrections_[metric] =
-      (1.0 - feedback_alpha_) * corrections_[metric] + feedback_alpha_ * instant_ratio;
-  accept_correction(metric);
-  RuntimeEvent event;
-  event.kind = RuntimeEvent::Kind::kFeedback;
-  event.op = op_index;
-  event.metric = metric;
-  event.value = observed;
   emit(event);
 }
 

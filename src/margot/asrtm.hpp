@@ -29,17 +29,22 @@
 // engine epochs"): every mutation of the decision inputs bumps an
 // epoch, a clean epoch returns the cached best index in O(1), and a
 // dirty decision recomputes only the per-constraint value columns whose
-// correction actually moved.  The dirty path itself is *branchless*:
-// the knowledge base stores metric columns structure-of-arrays (see
-// operating_point.hpp) and each constraint is applied as dense
-// mask/select passes over a contiguous double column — no per-point
-// indirection, autovectorizable.  The final selection scan composes each
-// survivor's rank from cached per-term pow columns (one per geometric
-// term whose weight is not 1, rebuilt only when that term's metric
-// moved) and plain products for the rest.  A brute-force reference
-// implementation of the same semantics is retained behind
-// set_decision_cache_enabled(false) and differential tests assert the
-// two are bit-identical.
+// correction actually moved.  A dirty decision then *walks a best-first
+// order* of the points instead of sweeping them all: corrections scale
+// every score of a geometric (or single-term linear) rank by the same
+// positive factor, so the order of the uncorrected scores, built once
+// per rank, fixes the winner up to rounding.  The walk skips quarantined
+// points and points that fail a constraint column, computes exact
+// scores with Rank::evaluate, and stops once the next key trails the
+// leader's by more than a rounding margin derived from the rank's
+// weights.  Inputs the walk cannot decide — no point meets every
+// constraint, a multi-term linear rank, keys or corrections outside the
+// range the margin covers, every point quarantined — take the dense
+// path: each constraint is applied as branchless mask/select passes over
+// a contiguous SoA column (see operating_point.hpp), then every survivor
+// is scored.  A brute-force reference implementation of the same
+// semantics is retained behind set_decision_cache_enabled(false) and
+// differential tests assert the two are bit-identical.
 #pragma once
 
 #include <atomic>
@@ -165,9 +170,11 @@ class Asrtm {
   /// Reports an observation of `metric` while `op_index` was applied.
   /// Updates the correction factor with an EWMA of observed/expected.
   /// A non-finite or non-positive observation (e.g. a stalled kernel
-  /// with zero throughput) is rejected gracefully — counted in
-  /// feedback_rejected() and journaled as a kFeedbackRejected runtime
-  /// event — instead of aborting the process.
+  /// with zero throughput), or one whose ratio to the prediction is not
+  /// a positive normal double (it overflowed or underflowed), is
+  /// rejected gracefully — counted in feedback_rejected() and journaled
+  /// as a kFeedbackRejected runtime event — instead of aborting the
+  /// process or poisoning the correction.
   void send_feedback(std::size_t op_index, std::size_t metric, double observed);
 
   /// Observations rejected by send_feedback since construction.
@@ -295,19 +302,32 @@ class Asrtm {
     bool valid = false;
   };
 
-  /// Cached pow columns of the rank: for each geometric term whose
-  /// weight is not 1, pow(mean[i] * correction, weight) over every
-  /// operating point, stored term-major in `values` (n entries per such
-  /// term, in term order) and tagged with the correction version of its
-  /// metric, so a feedback move rebuilds only the term whose metric
-  /// moved.  Weight-1 terms and linear ranks need no pow and are not
-  /// cached: the selection scan composes each survivor's value on the
-  /// fly (rank_value), in Rank::evaluate's term order.  set_rank()
-  /// drops the layout.
-  struct RankColumn {
-    std::vector<double> values;            ///< term-major pow columns
-    std::vector<std::uint64_t> versions;   ///< one entry per pow column
-    bool valid = false;
+  /// Best-first order of the operating points under the current rank,
+  /// by the *uncorrected* score.  A correction multiplies every point's
+  /// geometric score (or single-term linear score) by one positive
+  /// factor, so this order fixes the winner up to rounding whatever
+  /// the feedback; the walk computes exact scores and stops once a
+  /// key falls further behind than the rounding margin allows.  Built
+  /// by the first dirty decision after set_rank() or
+  /// invalidate_decision_cache(); corrections never rebuild it.
+  struct RankOrder {
+    /// ilogb of the smallest and largest mean of one term's metric.
+    struct TermExponents {
+      int min;
+      int max;
+    };
+    /// Building sorts only this many best entries; the first walk to
+    /// get past them sorts the rest.
+    static constexpr std::size_t kSortedHead = 64;
+    /// One entry per point: the bit pattern of its key, a positive
+    /// normal double oriented so that larger is better, whose low
+    /// mantissa bits are replaced by the point's index (see
+    /// rank_order_index_mask in asrtm.cpp).  Positive doubles order
+    /// like their bit patterns, so descending entries walk best-first.
+    std::vector<std::uint64_t> entries;   ///< empty: no usable order
+    std::vector<TermExponents> exponents; ///< one per rank term
+    bool tail_sorted = false;  ///< entries past kSortedHead are in order too
+    bool built = false;        ///< describes the current rank
   };
 
   void quarantine_op(OpHealth& health);
@@ -316,9 +336,27 @@ class Asrtm {
   /// Accepts corrections_[metric] as the value decisions use when it
   /// drifted beyond decision_epsilon_ from the last accepted value.
   void accept_correction(std::size_t metric);
-  /// The incremental hot path: pre-sorted constraints, cached columns,
-  /// reusable scratch buffers, bounded top-k for the journal.
+  /// The incremental hot path: the best-first walk when it can decide,
+  /// the dense sweep otherwise.
   std::size_t decide_incremental() const;
+  /// Walks the rank order, scoring only the unquarantined points that
+  /// meet every constraint, until no later point can beat (or, with
+  /// the journal on, enter) the top candidates.  Returns false, having
+  /// decided nothing, when no point meets every constraint.
+  bool decide_by_walk(std::size_t& chosen, double stop_factor) const;
+  /// Pre-sorted constraints, cached columns, branchless mask passes,
+  /// bounded top-k for the journal: handles least-violation relaxation,
+  /// full quarantine and every rank the walk cannot order.
+  std::size_t decide_dense() const;
+  /// (Re)builds rank_order_ for the current rank; leaves it empty when
+  /// the rank admits no order (a linear rank with several terms, or a
+  /// key that is not a positive normal double).
+  void build_rank_order() const;
+  /// 1 + the walk's stop margin when every intermediate of the keys
+  /// (corrected == false) or of Rank::evaluate under the applied
+  /// corrections (corrected == true) provably stays a positive normal
+  /// double; 0 when it may not.
+  double rank_stop_factor(bool corrected) const;
   /// The retained brute-force reference: the original O(constraints*n)
   /// algorithm with per-call sorting and no caching.  Kept for
   /// differential testing (set_decision_cache_enabled(false)).
@@ -327,14 +365,6 @@ class Asrtm {
   std::size_t fallback_safest(const std::vector<double>& corrections) const;
   /// The (lazily recomputed) constraint-value column for a constraint.
   const std::vector<double>& constraint_column(std::size_t handle) const;
-  /// Rebuilds the pow columns whose metric's correction moved (all of
-  /// them after set_rank()).
-  void refresh_rank_columns() const;
-  /// Rank value of point `i` under the applied corrections, composed
-  /// from the pow columns exactly as Rank::evaluate composes it.
-  /// Throws like Rank::evaluate when a geometric term's metric is not
-  /// positive, so only the points the scan reads are checked.
-  double rank_value(std::size_t i) const;
   /// Records a journal entry when `chosen` differs from the previously
   /// journaled point.  `runners` holds the best non-chosen survivors,
   /// already ordered best-first and trimmed.  Always consumes the
@@ -369,12 +399,13 @@ class Asrtm {
   mutable bool cached_feasible_ = true;
   mutable bool last_decision_cached_ = false;
   mutable std::vector<ConstraintColumn> columns_;  ///< parallel to constraints_
-  mutable RankColumn rank_column_;
+  mutable RankOrder rank_order_;
   // Scratch buffers reused across decisions so the dirty path allocates
   // nothing once warm (the clean path allocates nothing at all).  The
   // branchless sweep works on a dense alive mask + violation column
   // instead of compacted index vectors: every pass streams all n
-  // entries, which is what lets the compiler vectorize it.
+  // entries, which is what lets the compiler vectorize it.  Building the
+  // rank order borrows the violation column for its keys.
   mutable std::vector<unsigned char> scratch_alive_;
   mutable std::vector<double> scratch_violations_;
   mutable bool last_feasible_ = true;

@@ -33,34 +33,6 @@ bool violation_ties_minimum(double v, double min_violation) {
   return v <= min_violation + (1e-12 * min_violation + 1e-15);
 }
 
-double Rank::evaluate(const OperatingPoint& op,
-                      const std::vector<double>& correction) const {
-  const auto corrected_metric = [&](const RankTerm& term) {
-    SOCRATES_REQUIRE(term.metric < op.metrics.size());
-    double metric = op.metrics[term.metric].mean;
-    if (!correction.empty()) {
-      SOCRATES_REQUIRE(term.metric < correction.size());
-      metric *= correction[term.metric];
-    }
-    return metric;
-  };
-
-  if (composition == RankComposition::kLinear) {
-    double value = 0.0;
-    for (const RankTerm& term : terms) value += term.weight * corrected_metric(term);
-    return value;
-  }
-
-  double value = 1.0;
-  for (const RankTerm& term : terms) {
-    const double metric = corrected_metric(term);
-    SOCRATES_REQUIRE_MSG(metric > 0.0,
-                         "geometric rank requires positive metrics, got " << metric);
-    value *= term.weight == 1.0 ? metric : std::pow(metric, term.weight);
-  }
-  return value;
-}
-
 double Rank::evaluate(const KnowledgeBase& kb, std::size_t index,
                       const std::vector<double>& correction) const {
   const std::size_t metric_count = kb.metric_names().size();
@@ -85,8 +57,7 @@ double Rank::evaluate(const KnowledgeBase& kb, std::size_t index,
     const double metric = corrected_metric(term);
     SOCRATES_REQUIRE_MSG(metric > 0.0,
                          "geometric rank requires positive metrics, got " << metric);
-    // pow(x, 1.0) == x exactly; skipping it keeps weight-1 terms free,
-    // and the AS-RTM's selection scan composes them the same way.
+    // pow(x, 1.0) == x exactly; skipping it keeps weight-1 terms free.
     value *= term.weight == 1.0 ? metric : std::pow(metric, term.weight);
   }
   return value;

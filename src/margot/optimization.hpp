@@ -69,17 +69,12 @@ struct Rank {
   std::vector<RankTerm> terms;
   RankComposition composition = RankComposition::kGeometric;
 
-  /// Evaluates the rank value of an operating point (uses metric means,
-  /// rescaled by `correction[m]` when a feedback correction is given).
-  double evaluate(const OperatingPoint& op,
-                  const std::vector<double>& correction = {}) const;
-
-  /// Column-addressed form of the above: identical arithmetic (term
-  /// order, same multiply/pow sequence), but reads the means straight
-  /// from the KB's SoA columns instead of materializing a point.  The
-  /// AS-RTM's brute-force reference uses this; its incremental path
-  /// composes the same terms in the same order from cached pow columns,
-  /// so the two stay bit-identical.  A weight of exactly 1.0 skips pow.
+  /// Evaluates the rank value of operating point `index` (uses metric
+  /// means, rescaled by `correction[m]` when a feedback correction is
+  /// given), reading the means straight from the KB's SoA columns.
+  /// Every AS-RTM decision path scores points through this one
+  /// function, so their scores are bit-identical.  A weight of exactly
+  /// 1.0 skips pow.
   double evaluate(const KnowledgeBase& kb, std::size_t index,
                   const std::vector<double>& correction = {}) const;
 

@@ -1,24 +1,29 @@
 // Differential and cache-invalidation tests for the incremental AS-RTM
 // decision engine.
 //
-// The incremental engine (epoch cache, per-constraint columns, per-term
-// rank pow columns, scratch buffers, bounded top-k) must be
-// *bit-identical* to the retained brute-force reference
-// (set_decision_cache_enabled(false)): the fuzz test drives randomized
-// mutation/decide/feedback/rank-switch sequences through one instance
-// per mode, under every Rank factory, and asserts identical chosen
-// indices, feasibility, corrections and journal records (scores bit for
-// bit) at every step.  The targeted tests pin the invalidation rules one
-// by one: clean epochs are served from the cache, correction drift
-// invalidates if and only if it exceeds the decision epsilon, quarantine
-// transitions dirty the epoch (and ticks without active cooldowns do
-// not), restore always lands dirty with a monotonic epoch, a correction
-// move recomputes only the columns of constraints on that metric and
-// only the rank pow columns of terms on that metric, and a non-positive
-// rank metric on a point the selection never reads does not stop a
-// decision.
+// The incremental engine (epoch cache, per-constraint columns, the
+// best-first rank-order walk, the dense fallback, scratch buffers,
+// bounded top-k) must be *bit-identical* to the retained brute-force
+// reference (set_decision_cache_enabled(false)): the fuzz test drives
+// randomized mutation/decide/feedback/rank-switch/invalidate sequences
+// through one instance per mode, under every Rank factory, on small,
+// large and power-correlated (both walk past the sorted head),
+// tie-heavy and extreme-magnitude knowledge bases, with the journal on
+// and off, and asserts identical chosen indices, feasibility,
+// corrections and journal records (scores bit for bit) at every step.
+// The targeted tests pin the invalidation rules one by one: clean
+// epochs are served from the cache, correction drift invalidates if and
+// only if it exceeds the decision epsilon, quarantine transitions dirty
+// the epoch (and ticks without active cooldowns do not), restore always
+// lands dirty with a monotonic epoch, a correction move recomputes only
+// the columns of constraints on that metric, a feasible dirty decision
+// scores a bounded number of points while an infeasible one takes the
+// dense relaxation, extreme magnitudes take the dense path, and a
+// non-positive rank metric on a point the selection never reads does
+// not stop a decision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -40,6 +45,47 @@ KnowledgeBase random_kb(Rng& rng, std::size_t n) {
   KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
   for (std::size_t i = 0; i < n; ++i) {
     const double t = rng.uniform(0.1, 10.0);
+    const double p = rng.uniform(45.0, 150.0);
+    kb.add(OperatingPoint{{static_cast<int>(i)},
+                          {{t, 0.05 * t}, {p, 0.02 * p}, {1.0 / t, 0.01 / t}}});
+  }
+  return kb;
+}
+
+/// Faster points draw more power, so a power cap rules out the best
+/// keys of a throughput rank and the walk must go deep into the order.
+KnowledgeBase correlated_kb(Rng& rng, std::size_t n) {
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = rng.uniform(0.1, 10.0);
+    const double p = (45.0 + 11.0 * (10.0 - t)) * rng.uniform(0.95, 1.05);
+    kb.add(OperatingPoint{{static_cast<int>(i)},
+                          {{t, 0.05 * t}, {p, 0.02 * p}, {1.0 / t, 0.01 / t}}});
+  }
+  return kb;
+}
+
+/// Few distinct metric values: many points share a key and a score
+/// exactly, so ties are decided by index.
+KnowledgeBase tied_kb(Rng& rng, std::size_t n) {
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  constexpr double kTimes[] = {0.5, 1.0, 2.0, 4.0, 8.0};
+  constexpr double kPowers[] = {50.0, 80.0, 100.0, 125.0, 140.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = kTimes[rng.uniform_int(0, 4)];
+    const double p = kPowers[rng.uniform_int(0, 4)];
+    kb.add(OperatingPoint{{static_cast<int>(i)}, {{t, 0.0}, {p, 2.0}, {1.0 / t, 0.0}}});
+  }
+  return kb;
+}
+
+/// Times near 1e-160 (throughput near 1e160): energy-delay scores are
+/// subnormal and power^-1.5 * throughput * time^0.5 is fine, so some
+/// ranks must take the dense path and others may walk.
+KnowledgeBase extreme_kb(Rng& rng, std::size_t n) {
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = rng.uniform(0.1, 10.0) * 1e-160;
     const double p = rng.uniform(45.0, 150.0);
     kb.add(OperatingPoint{{static_cast<int>(i)},
                           {{t, 0.05 * t}, {p, 0.02 * p}, {1.0 / t, 0.01 / t}}});
@@ -87,12 +133,13 @@ void expect_same_journals(const DecisionJournal& incremental,
   }
 }
 
-/// Every Rank factory, one linear rank, and one three-term geometric
-/// rank whose two pow terms sit around a weight-1 term: with three
-/// factors the product order changes the rounding, and the second pow
-/// term reads the second term-major column.  The fuzz starts each seed
-/// under each of them and switches among them mid-stream, as Fig. 5
-/// does at run time.
+/// Every Rank factory; a two-term linear rank, which only the dense path
+/// decides; a one-term linear rank with a negative weight, which the
+/// walk orders by the sign of its weight; and a three-term geometric
+/// rank with fractional weights around a weight-1 term, whose keys need
+/// pow and whose three factors make the product order matter for
+/// rounding.  The fuzz starts each seed under each of them and switches
+/// among them mid-stream, as Fig. 5 does at run time.
 std::vector<Rank> fuzz_ranks() {
   return {Rank::maximize_throughput(kThr),
           Rank::maximize_throughput_per_watt2(kThr, kPower),
@@ -100,15 +147,34 @@ std::vector<Rank> fuzz_ranks() {
           Rank::minimize_energy(kTime, kPower),
           Rank::minimize_energy_delay(kTime, kPower),
           Rank::linear(RankDirection::kMinimize, {{kTime, 3.0}, {kPower, 0.05}}),
+          Rank::linear(RankDirection::kMaximize, {{kTime, -2.5}}),
           Rank{RankDirection::kMaximize, {{kPower, -1.5}, {kThr, 1.0}, {kTime, 0.5}}}};
+}
+
+struct FuzzCase {
+  const char* name;
+  KnowledgeBase (*make_kb)(Rng&, std::size_t);
+  std::size_t points;
+};
+
+/// 24 points keeps the walk inside its sorted head; 512 points under a
+/// tight power cap, or with power rising with throughput, send it past
+/// the head into the deferred tail sort.
+std::vector<FuzzCase> fuzz_cases() {
+  return {{"random-24", random_kb, 24},
+          {"random-512", random_kb, 512},
+          {"correlated-512", correlated_kb, 512},
+          {"tied-200", tied_kb, 200},
+          {"extreme-24", extreme_kb, 24}};
 }
 
 /// Drives one seeded mutation/decide/feedback sequence through an
 /// incremental and a brute-force instance, starting under ranks[first].
-void fuzz_against_reference(std::uint64_t seed, const std::vector<Rank>& ranks,
-                            std::size_t first) {
+void fuzz_against_reference(std::uint64_t seed, const FuzzCase& fuzz_case,
+                            const std::vector<Rank>& ranks, std::size_t first,
+                            bool journal) {
   Rng rng(seed);
-  const KnowledgeBase kb = random_kb(rng, 24);
+  const KnowledgeBase kb = fuzz_case.make_kb(rng, fuzz_case.points);
 
   Asrtm fast(kb);
   Asrtm slow(kb);
@@ -117,7 +183,7 @@ void fuzz_against_reference(std::uint64_t seed, const std::vector<Rank>& ranks,
     a->set_quarantine_options({1, 2, 16});
     a->set_feedback_inertia(0.4);
     a->set_rank(ranks[first]);
-    a->enable_decision_journal(256);
+    if (journal) a->enable_decision_journal(256);
     a->add_constraint({kPower, ComparisonOp::kLessEqual, 120.0, 0, 1.0});
     a->add_constraint({kThr, ComparisonOp::kGreaterEqual, 0.15, 1, 0.0});
     // Strict comparison: exercises the sign/violation mapping of the
@@ -180,6 +246,12 @@ void fuzz_against_reference(std::uint64_t seed, const std::vector<Rank>& ranks,
         slow.set_rank(ranks[pick]);
         break;
       }
+      case 8:
+        // Drops the columns and the rank order: the next decision
+        // rebuilds both.
+        fast.invalidate_decision_cache();
+        slow.invalidate_decision_cache();
+        break;
       default:
         break;  // decide on an untouched epoch (exercises the cache)
     }
@@ -191,6 +263,7 @@ void fuzz_against_reference(std::uint64_t seed, const std::vector<Rank>& ranks,
     for (std::size_t m = 0; m < 3; ++m)
       ASSERT_EQ(bits(fast.correction(m)), bits(slow.correction(m)));
   }
+  if (!journal) return;
   EXPECT_GT(fast.decision_journal().total_decisions(), 0u);
   expect_same_journals(fast.decision_journal(), slow.decision_journal());
 }
@@ -199,10 +272,15 @@ class AsrtmIncrementalFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AsrtmIncrementalFuzz, MatchesBruteForceReference) {
   const std::vector<Rank> ranks = fuzz_ranks();
-  for (std::size_t first = 0; first < ranks.size(); ++first) {
-    SCOPED_TRACE(testing::Message() << "initial rank " << first);
-    fuzz_against_reference(GetParam(), ranks, first);
-    if (HasFatalFailure()) return;
+  for (const FuzzCase& fuzz_case : fuzz_cases()) {
+    for (std::size_t first = 0; first < ranks.size(); ++first) {
+      for (const bool journal : {true, false}) {
+        SCOPED_TRACE(testing::Message() << fuzz_case.name << ", initial rank "
+                                        << first << ", journal " << journal);
+        fuzz_against_reference(GetParam(), fuzz_case, ranks, first, journal);
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 
@@ -419,44 +497,147 @@ TEST(AsrtmIncremental, ColumnsRecomputedOnlyForDirtyMetric) {
   EXPECT_EQ(recomputed.value(), base + 2);
 }
 
-// Throughput/W^2 has one pow term (power^-2); throughput has weight 1 and
-// is composed on the fly.  Only feedback on the pow term's metric may
-// rebuild a rank column, and a rank switch rebuilds the new rank's.
-TEST(AsrtmIncremental, RankPowColumnRebuiltOnlyForItsMetric) {
-  Asrtm asrtm(fixed_kb());
-  asrtm.set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
-  asrtm.set_feedback_inertia(1.0);
-  Counter& recomputed =
-      MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
+// A feasible dirty decision walks the rank order: it scores the leader
+// and stops at the first key that trails it by more than rounding, so it
+// computes a handful of exact scores however many points the knowledge
+// base holds, and still returns the reference's choice.
+TEST(AsrtmIncremental, FeasibleDirtyDecisionScoresABoundedNumberOfPoints) {
+  Rng rng(2018);
+  const KnowledgeBase kb = random_kb(rng, 512);
+  Asrtm fast(kb);
+  Asrtm slow(kb);
+  slow.set_decision_cache_enabled(false);
+  for (Asrtm* a : {&fast, &slow}) {
+    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+    a->add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 1.0});
+  }
+  (void)fast.find_best_operating_point();  // builds the order
+  Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
+  Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
+  const std::uint64_t walks_before = walks.value();
+  const std::uint64_t scores_before = scores.value();
 
-  (void)asrtm.find_best_operating_point();  // builds the power^-2 column
-  std::uint64_t base = recomputed.value();
+  constexpr int kDecisions = 64;
+  for (int d = 0; d < kDecisions; ++d) {
+    const std::size_t metric = d % 2 == 0 ? kPower : kThr;
+    const std::size_t point = fast.find_best_operating_point();
+    const double observed = kb[point].metrics[metric].mean * rng.uniform(0.9, 1.1);
+    fast.send_feedback(point, metric, observed);
+    slow.send_feedback(point, metric, observed);
+    ASSERT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
+    EXPECT_FALSE(fast.last_decision_was_cached());
+    EXPECT_TRUE(fast.last_selection_feasible());
+  }
+  EXPECT_EQ(walks.value() - walks_before, static_cast<std::uint64_t>(kDecisions));
+  // One exact score per decision unless keys tie within the margin.
+  EXPECT_LE(scores.value() - scores_before, static_cast<std::uint64_t>(2 * kDecisions));
+}
 
-  asrtm.send_feedback(1, kThr, 0.3);
-  (void)asrtm.find_best_operating_point();
-  EXPECT_FALSE(asrtm.last_decision_was_cached());
-  EXPECT_EQ(recomputed.value(), base);
+// Every point in the sorted head fails the cap: the walk sorts the tail
+// on its way and stops at the first feasible point, which is the best.
+TEST(AsrtmIncremental, WalkSortsTheTailWhenTheHeadIsInfeasible) {
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  for (int i = 0; i < 512; ++i) {
+    const double x = static_cast<double>(i);
+    kb.add(OperatingPoint{{i}, {{1.0 / (x + 1.0), 0.0}, {50.0 + 0.1 * x, 0.0}, {x + 1.0, 0.0}}});
+  }
+  Asrtm fast(kb);
+  Asrtm slow(kb);
+  slow.set_decision_cache_enabled(false);
+  for (Asrtm* a : {&fast, &slow}) {
+    a->set_rank(Rank::maximize_throughput(kThr));
+    a->add_constraint({kPower, ComparisonOp::kLessEqual, 60.0, 0, 0.0});
+  }
+  Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
+  const std::uint64_t walks_before = walks.value();
+  EXPECT_EQ(fast.find_best_operating_point(), 100u);  // 60 W exactly
+  EXPECT_EQ(slow.find_best_operating_point(), 100u);
+  EXPECT_EQ(walks.value(), walks_before + 1);
+  for (Asrtm* a : {&fast, &slow}) a->set_constraint_goal(0, 55.0);
+  EXPECT_EQ(fast.find_best_operating_point(), 50u);
+  EXPECT_EQ(slow.find_best_operating_point(), 50u);
+}
 
-  asrtm.send_feedback(1, kPower, 88.0);
-  (void)asrtm.find_best_operating_point();
-  EXPECT_EQ(recomputed.value(), base + 1);
-  base = recomputed.value();
+// No point meets the cap: the walk finds nothing to score and the dense
+// path applies mARGOt's least-violation relaxation, as the reference
+// does.
+TEST(AsrtmIncremental, InfeasibleCapTakesTheDenseRelaxation) {
+  Rng rng(2018);
+  const KnowledgeBase kb = random_kb(rng, 512);
+  Asrtm fast(kb);
+  Asrtm slow(kb);
+  slow.set_decision_cache_enabled(false);
+  for (Asrtm* a : {&fast, &slow}) {
+    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+    a->add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 1.0});
+  }
+  (void)fast.find_best_operating_point();
+  Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
+  Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
+  const std::uint64_t walks_before = walks.value();
+  const std::uint64_t scores_before = scores.value();
 
-  // Energy-delay: power^1 * time^2, one pow column (time).
-  asrtm.set_rank(Rank::minimize_energy_delay(kTime, kPower));
-  (void)asrtm.find_best_operating_point();
-  EXPECT_EQ(recomputed.value(), base + 1);
-  base = recomputed.value();
-  asrtm.send_feedback(1, kPower, 90.0);
-  (void)asrtm.find_best_operating_point();
-  EXPECT_EQ(recomputed.value(), base);
+  for (Asrtm* a : {&fast, &slow}) a->set_constraint_goal(0, 30.0);
+  const std::size_t chosen = fast.find_best_operating_point();
+  EXPECT_EQ(chosen, slow.find_best_operating_point());
+  EXPECT_FALSE(fast.last_selection_feasible());
+  EXPECT_FALSE(slow.last_selection_feasible());
+  EXPECT_EQ(walks.value(), walks_before);
+  // Every relaxation survivor is scored: at least the chosen point.
+  EXPECT_GT(scores.value(), scores_before);
 
-  // Weight-1-only and linear ranks cache nothing.
-  asrtm.set_rank(Rank::minimize_energy(kTime, kPower));
-  (void)asrtm.find_best_operating_point();
-  asrtm.set_rank(Rank::linear(RankDirection::kMinimize, {{kTime, 2.0}}));
-  (void)asrtm.find_best_operating_point();
-  EXPECT_EQ(recomputed.value(), base);
+  // The least power-hungry point survives the relaxation.
+  double least_power = kb[0].metrics[kPower].mean;
+  for (std::size_t i = 1; i < kb.size(); ++i)
+    least_power = std::min(least_power, kb[i].metrics[kPower].mean);
+  EXPECT_EQ(kb[chosen].metrics[kPower].mean, least_power);
+
+  // Back to a feasible cap: the walk decides again.
+  for (Asrtm* a : {&fast, &slow}) a->set_constraint_goal(0, 100.0);
+  EXPECT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
+  EXPECT_TRUE(fast.last_selection_feasible());
+  EXPECT_EQ(walks.value(), walks_before + 1);
+}
+
+// Keys that would overflow, or corrections that would push a score out
+// of the normal range, rule the walk out: the dense path decides, and
+// still exactly as the reference does (here on inf scores).
+TEST(AsrtmIncremental, ExtremeMagnitudesTakeTheDensePath) {
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  for (int i = 0; i < 8; ++i) {
+    const double x = 1.0 + 0.125 * i;
+    kb.add(OperatingPoint{{i}, {{x, 0.0}, {x * 1e-149, 0.0}, {2.0 / x, 0.0}}});
+  }
+  Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
+  Asrtm fast(kb);
+  Asrtm slow(kb);
+  slow.set_decision_cache_enabled(false);
+  for (Asrtm* a : {&fast, &slow}) {
+    a->set_feedback_inertia(1.0);
+    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+  }
+  // power^-2 near 1e298: representable, so the walk decides.
+  std::uint64_t walks_before = walks.value();
+  EXPECT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
+  EXPECT_EQ(walks.value(), walks_before + 1);
+
+  // A power correction of 1e-10 takes power^-2 past DBL_MAX: every
+  // score is inf, the dense path decides, and the lowest index wins.
+  for (Asrtm* a : {&fast, &slow}) a->send_feedback(0, kPower, 1e-159);
+  EXPECT_EQ(fast.correction(kPower), 1e-159 / 1e-149);
+  walks_before = walks.value();
+  EXPECT_EQ(fast.find_best_operating_point(), 0u);
+  EXPECT_EQ(slow.find_best_operating_point(), 0u);
+  EXPECT_EQ(walks.value(), walks_before);
+
+  // Keys that overflow (power^-8 near 1e1192): no order is built.
+  for (Asrtm* a : {&fast, &slow}) {
+    a->reset_feedback();
+    a->set_rank(Rank{RankDirection::kMaximize, {{kPower, -8.0}}});
+  }
+  walks_before = walks.value();
+  EXPECT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
+  EXPECT_EQ(walks.value(), walks_before);
 }
 
 // A geometric rank needs positive metrics, but only on the points the

@@ -143,8 +143,8 @@ TEST(Asrtm, FeedbackIsEwma) {
 TEST(Asrtm, RankEvaluateUsesCorrections) {
   const auto kb = tiny_kb();
   const Rank rank = Rank::maximize_throughput_per_watt2(kThr, kPower);
-  const double base = rank.evaluate(kb[2]);
-  const double corrected = rank.evaluate(kb[2], {1.0, 2.0, 1.0});  // power doubled
+  const double base = rank.evaluate(kb, 2);
+  const double corrected = rank.evaluate(kb, 2, {1.0, 2.0, 1.0});  // power doubled
   EXPECT_NEAR(corrected, base / 4.0, 1e-12);
 }
 
@@ -196,6 +196,29 @@ TEST(Asrtm, ZeroObservedFeedbackIsRejectedGracefully) {
   asrtm.send_feedback(1, kPower, 104.0);
   EXPECT_EQ(asrtm.feedback_rejected(), 4u);
   EXPECT_NEAR(asrtm.correction(kPower), 1.3, 1e-12);
+}
+
+TEST(Asrtm, OverflowingFeedbackRatioIsRejectedGracefully) {
+  // A finite, positive observation whose ratio to a tiny prediction
+  // overflows: accepted, it would set the correction to inf, and the
+  // running average of inf stays inf whatever sane reports follow.
+  KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
+  kb.add(OperatingPoint{{0}, {{1.0, 0.0}, {50.0, 0.0}, {1e-10, 0.0}}});
+  kb.add(OperatingPoint{{1}, {{2.0, 0.0}, {40.0, 0.0}, {0.5, 0.0}}});
+  Asrtm asrtm(kb);
+  std::vector<RuntimeEvent> events;
+  asrtm.set_event_sink([&events](const RuntimeEvent& e) { events.push_back(e); });
+  asrtm.send_feedback(0, kThr, 1e300);
+  // The underflowing direction is rejected alike.
+  asrtm.send_feedback(1, kThr, 1e-320);
+  EXPECT_EQ(asrtm.feedback_rejected(), 2u);
+  EXPECT_DOUBLE_EQ(asrtm.correction(kThr), 1.0);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, RuntimeEvent::Kind::kFeedbackRejected);
+  EXPECT_EQ(events[1].kind, RuntimeEvent::Kind::kFeedbackRejected);
+  for (int i = 0; i < 1000; ++i) asrtm.send_feedback(0, kThr, 2e-10);
+  EXPECT_EQ(asrtm.feedback_rejected(), 2u);
+  EXPECT_NEAR(asrtm.correction(kThr), 2.0, 1e-9);
 }
 
 TEST(Asrtm, RejectsForeignMetricIndices) {
@@ -267,7 +290,7 @@ TEST_P(AsrtmProperty, RankOrderingIsTotalAndStable) {
   EXPECT_EQ(a, b);
   const Rank rank = Rank::maximize_throughput_per_watt2(2, 1);
   for (std::size_t i = 0; i < kb.size(); ++i)
-    EXPECT_GE(rank.evaluate(kb[a]), rank.evaluate(kb[i]));
+    EXPECT_GE(rank.evaluate(kb, a), rank.evaluate(kb, i));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AsrtmProperty, ::testing::Values(11, 22, 33, 44, 55));

@@ -79,8 +79,8 @@ TEST(Rank, LinearCompositionIsWeightedSum) {
   const auto rank = margot::Rank::linear(margot::RankDirection::kMinimize,
                                          {{0, 10.0}, {1, 1.0}});
   // op0: 10*10+50 = 150; op1: 40+80 = 120; op2: 10+140 = 150.
-  EXPECT_DOUBLE_EQ(rank.evaluate(kb[0]), 150.0);
-  EXPECT_DOUBLE_EQ(rank.evaluate(kb[1]), 120.0);
+  EXPECT_DOUBLE_EQ(rank.evaluate(kb, 0), 150.0);
+  EXPECT_DOUBLE_EQ(rank.evaluate(kb, 1), 120.0);
   margot::Asrtm asrtm(kb);
   asrtm.set_rank(rank);
   EXPECT_EQ(asrtm.find_best_operating_point(), 1u);
@@ -90,14 +90,14 @@ TEST(Rank, LinearToleratesZeroAndNegativeMetrics) {
   margot::KnowledgeBase kb({"k"}, {"m"});
   kb.add(margot::OperatingPoint{{0}, {{0.0, 0.0}}});
   const auto rank = margot::Rank::linear(margot::RankDirection::kMinimize, {{0, 2.0}});
-  EXPECT_DOUBLE_EQ(rank.evaluate(kb[0]), 0.0);  // geometric would throw
+  EXPECT_DOUBLE_EQ(rank.evaluate(kb, 0), 0.0);  // geometric would throw
 }
 
 TEST(Rank, GeometricStillRejectsNonPositive) {
   margot::KnowledgeBase kb({"k"}, {"m"});
   kb.add(margot::OperatingPoint{{0}, {{0.0, 0.0}}});
   const margot::Rank rank{margot::RankDirection::kMinimize, {{0, 1.0}}};
-  EXPECT_THROW(rank.evaluate(kb[0]), ContractViolation);
+  EXPECT_THROW(rank.evaluate(kb, 0), ContractViolation);
 }
 
 }  // namespace
