@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -139,18 +140,6 @@ double best_exec(const std::vector<dse::ProfiledPoint>& points) {
   double best = std::numeric_limits<double>::infinity();
   for (const auto& p : points) best = std::min(best, p.exec_time_mean_s);
   return best;
-}
-
-/// A profiled point's flat index in `space` (the transfer currency of
-/// warm_flat_seeds).
-std::size_t flat_of(const dse::DesignSpace& space, const dse::ProfiledPoint& p) {
-  dse::detail::FlatPoint fp;
-  fp.config = p.config_index;
-  for (std::size_t t = 0; t < space.thread_counts.size(); ++t)
-    if (space.thread_counts[t] == p.configuration.threads) fp.thread = t;
-  for (std::size_t b = 0; b < space.bindings.size(); ++b)
-    if (space.bindings[b] == p.configuration.binding) fp.binding = b;
-  return dse::detail::compose_flat(space, fp);
 }
 
 }  // namespace
@@ -288,13 +277,15 @@ int main(int argc, char** argv) {
 
   // The donor's four fastest measured points, as flat indices — what
   // the server pool hands a similar kernel.
-  auto ranked = donor_result.points;
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.exec_time_mean_s < b.exec_time_mean_s;
+  std::vector<std::size_t> ranked(donor_result.points.size());
+  std::iota(ranked.begin(), ranked.end(), std::size_t{0});
+  std::sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
+    return donor_result.points[a].exec_time_mean_s <
+           donor_result.points[b].exec_time_mean_s;
   });
   std::vector<std::size_t> warm_seeds;
   for (std::size_t i = 0; i < ranked.size() && warm_seeds.size() < 4; ++i)
-    warm_seeds.push_back(flat_of(space, ranked[i]));
+    warm_seeds.push_back(donor_result.flat[ranked[i]]);
 
   dse::ExploreContext ctx{platform_model, recipient_kernel, space, 3, 2018, 1.0,
                           &pool, 1};

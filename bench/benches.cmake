@@ -89,6 +89,34 @@ set_tests_properties(dse_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_dse_json)
 
+# The Figure 4 pin: the 2mm power-budget sweep writes the DESIGN.md
+# section 6 shape to BENCH_fig4.json — the chosen time never rises with
+# the budget, no feasible choice exceeds its budget, the 45 W / 140 W
+# time ratio, the thread growth and the distinct compiler configs — and
+# the *_baseline test gates it against the committed bounds.  The third
+# test feeds the checker a doctored artifact whose chosen time rises at
+# one budget step; it must fail, which shows that the gate can fail.
+add_test(NAME fig4_bench_smoke
+  COMMAND fig4_power_budget_sweep)
+set_tests_properties(fig4_bench_smoke PROPERTIES
+  LABELS "bench;smoke"
+  ENVIRONMENT "SOCRATES_BENCH_JSON_DIR=${CMAKE_BINARY_DIR}/bench"
+  FIXTURES_SETUP bench_fig4_json)
+add_test(NAME fig4_bench_baseline
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/fig4.json
+          ${CMAKE_BINARY_DIR}/bench/BENCH_fig4.json)
+set_tests_properties(fig4_bench_baseline PROPERTIES
+  LABELS "bench;smoke"
+  FIXTURES_REQUIRED bench_fig4_json)
+add_test(NAME fig4_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/fig4.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/fig4_doctored.json)
+set_tests_properties(fig4_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
+
 # The fault-tolerance pin: the full (deterministic, seeded) hostile-
 # machine ablation with the bench's built-in assertions — the hardened
 # stack strictly beats raw with zero surviving corrupted observations,

@@ -70,14 +70,15 @@ Discretizer Discretizer::load(std::istream& in) {
   in >> magic >> version >> columns;
   SOCRATES_REQUIRE_MSG(in && magic == "discretizer" && version == "v1",
                        "not a discretizer artifact");
+  // Containers grow as elements are read, never sized from a header: a
+  // count the stream cannot back ends in a named violation.
   Discretizer d;
-  d.cuts_.resize(columns);
-  for (auto& cuts : d.cuts_) {
+  for (std::size_t column = 0; column < columns; ++column) {
     std::size_t count = 0;
     in >> count;
     SOCRATES_REQUIRE_MSG(in, "truncated discretizer artifact");
-    cuts.resize(count);
-    for (double& c : cuts) c = parse_exact(in);
+    auto& cuts = d.cuts_.emplace_back();
+    for (std::size_t i = 0; i < count; ++i) cuts.push_back(parse_exact(in));
   }
   return d;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "support/serialize.hpp"
@@ -233,8 +234,11 @@ BayesNet BayesNet::load(std::istream& in) {
   in >> magic >> version >> n_vars >> fitted;
   SOCRATES_REQUIRE_MSG(in && magic == "bayesnet" && version == "v1" && n_vars > 0,
                        "not a bayesnet artifact");
-  std::vector<Variable> vars(n_vars);
-  for (auto& v : vars) {
+  // Containers grow as elements are read, never sized from a header: a
+  // count the stream cannot back ends in a named violation.
+  std::vector<Variable> vars;
+  for (std::size_t i = 0; i < n_vars; ++i) {
+    Variable& v = vars.emplace_back();
     in >> v.name >> v.cardinality;
     SOCRATES_REQUIRE_MSG(in && v.cardinality >= 1, "malformed bayesnet variable");
   }
@@ -255,12 +259,18 @@ BayesNet BayesNet::load(std::istream& in) {
     for (std::size_t v = 0; v < n_vars; ++v) {
       std::size_t len = 0;
       in >> len;
-      std::size_t rows = 1;
-      for (const std::size_t p : net.parents_[v]) rows *= net.vars_[p].cardinality;
-      SOCRATES_REQUIRE_MSG(in && len == rows * net.vars_[v].cardinality,
+      // The expected size is a product of claimed cardinalities: refuse
+      // one that does not fit a size_t rather than let it wrap.
+      std::size_t expected = net.vars_[v].cardinality;
+      for (const std::size_t p : net.parents_[v]) {
+        const std::size_t card = net.vars_[p].cardinality;
+        SOCRATES_REQUIRE_MSG(expected <= std::numeric_limits<std::size_t>::max() / card,
+                             "bayesnet CPT size overflows for " << net.vars_[v].name);
+        expected *= card;
+      }
+      SOCRATES_REQUIRE_MSG(in && len == expected,
                            "bayesnet CPT size mismatch for " << net.vars_[v].name);
-      net.cpts_[v].resize(len);
-      for (double& p : net.cpts_[v]) p = parse_exact(in);
+      for (std::size_t i = 0; i < len; ++i) net.cpts_[v].push_back(parse_exact(in));
     }
     net.fitted_ = true;
   }

@@ -1,16 +1,11 @@
 #include "dse/dse.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
 #include <limits>
 #include <ostream>
 
-#include "observability/metrics.hpp"
-#include "observability/trace.hpp"
-#include "support/chaos.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 #include "support/serialize.hpp"
 #include "support/statistics.hpp"
 
@@ -51,104 +46,6 @@ ProfiledPoint profile_point(const platform::PerformanceModel& model,
   return p;
 }
 
-std::vector<ProfiledPoint> full_factorial_dse(const platform::PerformanceModel& model,
-                                              const platform::KernelModelParams& kernel,
-                                              const DesignSpace& space,
-                                              std::size_t repetitions,
-                                              std::uint64_t seed, double work_scale,
-                                              TaskPool* pool) {
-  SOCRATES_REQUIRE(repetitions >= 1);
-  SOCRATES_REQUIRE(space.size() > 0);
-
-  // Flat point order: config-major, then threads, then binding — the
-  // historical serial order.  Each point owns RNG stream (seed, index),
-  // so the task schedule cannot leak into the numbers.
-  const std::size_t n_threads = space.thread_counts.size();
-  const std::size_t n_bindings = space.bindings.size();
-  std::vector<ProfiledPoint> out(space.size());
-  TaskPool& executor = pool != nullptr ? *pool : TaskPool::shared();
-  static Counter& points_profiled =
-      MetricsRegistry::global().counter("dse.points_profiled");
-  executor.parallel_for(space.size(), [&](std::size_t pi) {
-    TraceSpan span("dse-point", "dse");
-    span.set_arg("point", static_cast<std::int64_t>(pi));
-    const std::size_t ci = pi / (n_threads * n_bindings);
-    const std::size_t ti = (pi / n_bindings) % n_threads;
-    const std::size_t bi = pi % n_bindings;
-    Rng noise(derive_stream(seed, pi));
-    out[pi] = profile_point(model, kernel, space, ci, space.thread_counts[ti],
-                            space.bindings[bi], repetitions, noise, work_scale);
-    points_profiled.add(1);
-  });
-  return out;
-}
-
-SupervisedDseResult supervised_dse(const platform::PerformanceModel& model,
-                                   const platform::KernelModelParams& kernel,
-                                   const DesignSpace& space, std::size_t repetitions,
-                                   std::uint64_t seed, double work_scale,
-                                   TaskPool* pool, std::size_t point_attempts) {
-  SOCRATES_REQUIRE(point_attempts >= 1);
-  SOCRATES_REQUIRE(repetitions >= 1);
-  SOCRATES_REQUIRE(space.size() > 0);
-
-  const std::size_t n_threads = space.thread_counts.size();
-  const std::size_t n_bindings = space.bindings.size();
-  std::vector<ProfiledPoint> points(space.size());
-  std::vector<char> dropped(space.size(), 0);
-  std::atomic<std::size_t> retries{0};
-  TaskPool& executor = pool != nullptr ? *pool : TaskPool::shared();
-  ChaosEngine& chaos = ChaosEngine::global();
-  static Counter& points_profiled =
-      MetricsRegistry::global().counter("dse.points_profiled");
-
-  executor.parallel_for(space.size(), [&](std::size_t pi) {
-    TraceSpan span("dse-point", "dse");
-    span.set_arg("point", static_cast<std::int64_t>(pi));
-    const std::size_t ci = pi / (n_threads * n_bindings);
-    const std::size_t ti = (pi / n_bindings) % n_threads;
-    const std::size_t bi = pi % n_bindings;
-    for (std::size_t attempt = 0; attempt < point_attempts; ++attempt) {
-      try {
-        // Indexed (not counter-based) chaos draw: the decision for
-        // (point, attempt) is independent of thread interleaving.
-        if (chaos.enabled() &&
-            chaos.fire_indexed("dse.point", hash_combine(pi, attempt)))
-          throw ChaosFault("injected DSE point fault");
-        // A fresh stream every attempt: the surviving measurement is
-        // byte-identical to a chaos-free run.
-        Rng noise(derive_stream(seed, pi));
-        points[pi] = profile_point(model, kernel, space, ci, space.thread_counts[ti],
-                                   space.bindings[bi], repetitions, noise, work_scale);
-        points_profiled.add(1);
-        return;
-      } catch (const std::logic_error&) {
-        throw;  // a caller bug, not a flaky measurement
-      } catch (const std::exception&) {
-        if (attempt + 1 < point_attempts)
-          retries.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    dropped[pi] = 1;
-  });
-
-  SupervisedDseResult result;
-  result.retries = retries.load();
-  result.points.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (dropped[i] != 0) {
-      ++result.dropped;
-      continue;
-    }
-    result.points.push_back(std::move(points[i]));
-  }
-  if (result.dropped > 0)
-    MetricsRegistry::global().counter("dse.points_dropped").add(result.dropped);
-  if (result.retries > 0)
-    MetricsRegistry::global().counter("dse.point_retries").add(result.retries);
-  return result;
-}
-
 void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points) {
   out << "profile v1 " << points.size() << '\n';
   for (const auto& p : points) {
@@ -169,8 +66,11 @@ std::vector<ProfiledPoint> load_profile(std::istream& in) {
   in >> magic >> version >> count;
   SOCRATES_REQUIRE_MSG(in && magic == "profile" && version == "v1",
                        "not a profile artifact");
-  std::vector<ProfiledPoint> points(count);
-  for (auto& p : points) {
+  // Grown as points are read, never sized from the header: a count the
+  // stream cannot back ends in a named violation, not a huge allocation.
+  std::vector<ProfiledPoint> points;
+  for (std::size_t i = 0; i < count; ++i) {
+    ProfiledPoint& p = points.emplace_back();
     int level = 0, binding = 0;
     unsigned bits = 0;
     in >> p.config_index >> p.config_name >> level >> bits >> p.configuration.threads >>

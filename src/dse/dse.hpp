@@ -9,11 +9,10 @@
 // measurement noise; the mean/stddev land in the knowledge base.
 // The Pareto filter over (throughput up, power down) feeds Figure 3.
 //
-// Every design point is independent, so the sweep fans out over a
-// TaskPool.  Each point draws its measurement noise from an RNG stream
-// derived from (seed, flat point index): the profile is bit-identical
-// to a serial sweep at any job count (the determinism contract of
-// docs/PIPELINE.md).
+// This header holds the space, one point's measurement and the profile
+// formats; which points get profiled is an Explorer's choice, and every
+// strategy profiles through the one loop dse::profile_points
+// (explorer.hpp).
 #pragma once
 
 #include <cstddef>
@@ -27,7 +26,6 @@
 #include "platform/kernel_model.hpp"
 #include "platform/perf_model.hpp"
 #include "platform/topology.hpp"
-#include "support/task_pool.hpp"
 
 namespace socrates::dse {
 
@@ -67,38 +65,6 @@ ProfiledPoint profile_point(const platform::PerformanceModel& model,
                             const DesignSpace& space, std::size_t config_index,
                             std::size_t threads, platform::BindingPolicy binding,
                             std::size_t repetitions, Rng& noise, double work_scale);
-
-/// Profiles every point of the space (`repetitions` noisy runs each).
-/// Runs on `pool` (TaskPool::shared() when null); output is identical
-/// at any job count for a fixed seed.
-std::vector<ProfiledPoint> full_factorial_dse(const platform::PerformanceModel& model,
-                                              const platform::KernelModelParams& kernel,
-                                              const DesignSpace& space,
-                                              std::size_t repetitions,
-                                              std::uint64_t seed,
-                                              double work_scale = 1.0,
-                                              TaskPool* pool = nullptr);
-
-/// full_factorial_dse with per-point fault tolerance: each design
-/// point gets `point_attempts` tries (an injected chaos fault or a
-/// transient exception consumes one); a point that exhausts them is
-/// *dropped* — the sweep finishes with reduced coverage instead of
-/// aborting a whole campaign for one flaky measurement.  Logic errors
-/// (caller bugs) still propagate.  Surviving points keep the flat
-/// order and are byte-identical to a chaos-free run: every attempt
-/// re-derives the point's own noise stream from (seed, index).
-struct SupervisedDseResult {
-  std::vector<ProfiledPoint> points;  ///< survivors, original order
-  std::size_t dropped = 0;            ///< points lost after all attempts
-  std::size_t retries = 0;            ///< extra attempts that were needed
-};
-
-SupervisedDseResult supervised_dse(const platform::PerformanceModel& model,
-                                   const platform::KernelModelParams& kernel,
-                                   const DesignSpace& space, std::size_t repetitions,
-                                   std::uint64_t seed, double work_scale = 1.0,
-                                   TaskPool* pool = nullptr,
-                                   std::size_t point_attempts = 2);
 
 /// Writes a profile in the artifact-cache text format (hexfloat
 /// doubles, exact round trip).

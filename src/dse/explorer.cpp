@@ -1,7 +1,9 @@
 #include "dse/explorer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <numeric>
 #include <set>
 
 #include "observability/metrics.hpp"
@@ -33,9 +35,16 @@ std::size_t compose_flat(const DesignSpace& space, const FlatPoint& p) {
   return (p.config * n_threads + p.thread) * n_bindings + p.binding;
 }
 
-FlatProfile profile_flat_supervised(const ExploreContext& ctx,
-                                    const std::vector<std::size_t>& flat_indices) {
-  SOCRATES_REQUIRE(ctx.repetitions >= 1);
+}  // namespace detail
+
+// ---- the per-point loop ----------------------------------------------------
+
+ExploreResult profile_points(const ExploreContext& ctx,
+                             const std::vector<std::size_t>& flat_indices) {
+  SOCRATES_REQUIRE_MSG(ctx.repetitions >= 1,
+                       "DSE repetitions must be >= 1 (got " << ctx.repetitions
+                                                            << ")");
+  SOCRATES_REQUIRE_MSG(ctx.space.size() > 0, "DSE design space is empty");
   SOCRATES_REQUIRE(ctx.point_attempts >= 1);
   const DesignSpace& space = ctx.space;
 
@@ -51,17 +60,18 @@ FlatProfile profile_flat_supervised(const ExploreContext& ctx,
     TraceSpan span("dse-point", "dse");
     const std::size_t flat = flat_indices[k];
     span.set_arg("point", static_cast<std::int64_t>(flat));
-    const FlatPoint fp = decompose_flat(space, flat);
+    const detail::FlatPoint fp = detail::decompose_flat(space, flat);
     for (std::size_t attempt = 0; attempt < ctx.point_attempts; ++attempt) {
       try {
-        // Same indexed chaos draw as supervised_dse: the decision for
+        // Indexed (not counter-based) chaos draw: the decision for
         // (flat point, attempt) is independent of which strategy asked
         // and of thread interleaving.
         if (chaos.enabled() &&
             chaos.fire_indexed("dse.point", hash_combine(flat, attempt)))
           throw ChaosFault("injected DSE point fault");
         // Fresh stream every attempt, keyed by the *flat* index: the
-        // surviving measurement is bit-identical to the full sweep.
+        // surviving measurement is bit-identical to a chaos-free run
+        // of any strategy.
         Rng noise(derive_stream(ctx.seed, flat));
         slots[k] = profile_point(ctx.model, ctx.kernel, space, fp.config,
                                  space.thread_counts[fp.thread],
@@ -79,17 +89,18 @@ FlatProfile profile_flat_supervised(const ExploreContext& ctx,
     dropped[k] = 1;
   });
 
-  FlatProfile out;
+  ExploreResult out;
+  out.evaluated = flat_indices.size();
   out.retries = retries.load();
   out.points.reserve(flat_indices.size());
-  out.surviving_flat.reserve(flat_indices.size());
+  out.flat.reserve(flat_indices.size());
   for (std::size_t k = 0; k < flat_indices.size(); ++k) {
     if (dropped[k] != 0) {
       ++out.dropped;
       continue;
     }
     out.points.push_back(std::move(slots[k]));
-    out.surviving_flat.push_back(flat_indices[k]);
+    out.flat.push_back(flat_indices[k]);
   }
   if (out.dropped > 0)
     MetricsRegistry::global().counter("dse.points_dropped").add(out.dropped);
@@ -98,26 +109,7 @@ FlatProfile profile_flat_supervised(const ExploreContext& ctx,
   return out;
 }
 
-}  // namespace detail
-
 namespace {
-
-void require_context(const ExploreContext& ctx) {
-  SOCRATES_REQUIRE_MSG(ctx.repetitions >= 1,
-                       "DSE repetitions must be >= 1 (got " << ctx.repetitions
-                                                            << ")");
-  SOCRATES_REQUIRE_MSG(ctx.space.size() > 0, "DSE design space is empty");
-  SOCRATES_REQUIRE(ctx.point_attempts >= 1);
-}
-
-ExploreResult result_from(detail::FlatProfile&& profile, std::size_t evaluated) {
-  ExploreResult out;
-  out.points = std::move(profile.points);
-  out.evaluated = evaluated;
-  out.dropped = profile.dropped;
-  out.retries = profile.retries;
-  return out;
-}
 
 /// The flat indices of a random subset, sorted ascending (deterministic
 /// profiling order, independent of the job count).
@@ -167,15 +159,9 @@ std::vector<std::size_t> stratified_indices(const DesignSpace& space,
 // ---- FullFactorialExplorer -------------------------------------------------
 
 ExploreResult FullFactorialExplorer::explore(const ExploreContext& ctx) const {
-  require_context(ctx);
-  auto run = supervised_dse(ctx.model, ctx.kernel, ctx.space, ctx.repetitions,
-                            ctx.seed, ctx.work_scale, ctx.pool, ctx.point_attempts);
-  ExploreResult out;
-  out.points = std::move(run.points);
-  out.evaluated = ctx.space.size();
-  out.dropped = run.dropped;
-  out.retries = run.retries;
-  return out;
+  std::vector<std::size_t> all(ctx.space.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return profile_points(ctx, all);
 }
 
 void FullFactorialExplorer::add_to_key(Hasher& h) const { h.add("dse-full"); }
@@ -191,10 +177,7 @@ RandomSubsetExplorer::RandomSubsetExplorer(double fraction) : fraction_(fraction
 }
 
 ExploreResult RandomSubsetExplorer::explore(const ExploreContext& ctx) const {
-  require_context(ctx);
-  const auto indices = subset_indices(ctx.space, fraction_, ctx.seed);
-  const std::size_t evaluated = indices.size();
-  return result_from(detail::profile_flat_supervised(ctx, indices), evaluated);
+  return profile_points(ctx, subset_indices(ctx.space, fraction_, ctx.seed));
 }
 
 void RandomSubsetExplorer::add_to_key(Hasher& h) const {
@@ -213,11 +196,8 @@ StratifiedExplorer::StratifiedExplorer(std::size_t threads_per_stratum)
 }
 
 ExploreResult StratifiedExplorer::explore(const ExploreContext& ctx) const {
-  require_context(ctx);
   SOCRATES_REQUIRE(!ctx.space.thread_counts.empty());
-  const auto indices = stratified_indices(ctx.space, threads_per_stratum_);
-  const std::size_t evaluated = indices.size();
-  return result_from(detail::profile_flat_supervised(ctx, indices), evaluated);
+  return profile_points(ctx, stratified_indices(ctx.space, threads_per_stratum_));
 }
 
 void StratifiedExplorer::add_to_key(Hasher& h) const {
@@ -245,46 +225,6 @@ DseStrategyOptions DseStrategyOptions::from_env() {
   o.generations = env::size_or("SOCRATES_DSE_GENS", 24, 1, 4096);
   o.max_representatives = env::size_or("SOCRATES_DSE_PRUNE", 0, 0, 4096);
   return o;
-}
-
-const char* DseStrategyOptions::kind_name() const {
-  switch (kind) {
-    case Kind::kFull: return "full";
-    case Kind::kSubset: return "subset";
-    case Kind::kStratified: return "stratified";
-    case Kind::kTwoStage: return "two-stage";
-  }
-  return "full";
-}
-
-// ---- free functions --------------------------------------------------------
-
-std::vector<ProfiledPoint> random_subset_dse(const platform::PerformanceModel& model,
-                                             const platform::KernelModelParams& kernel,
-                                             const DesignSpace& space, double fraction,
-                                             std::size_t repetitions, std::uint64_t seed,
-                                             double work_scale, TaskPool* pool) {
-  SOCRATES_REQUIRE_MSG(repetitions >= 1,
-                       "random-subset repetitions must be >= 1 (got 0) — zero "
-                       "repetitions would produce empty statistics, not a "
-                       "cheaper sweep");
-  SOCRATES_REQUIRE(space.size() > 0);
-  const RandomSubsetExplorer explorer(fraction);  // validates the fraction
-  ExploreContext ctx{model, kernel, space, repetitions, seed, work_scale, pool, 1};
-  return explorer.explore(ctx).points;
-}
-
-std::vector<ProfiledPoint> stratified_dse(const platform::PerformanceModel& model,
-                                          const platform::KernelModelParams& kernel,
-                                          const DesignSpace& space,
-                                          std::size_t threads_per_stratum,
-                                          std::size_t repetitions, std::uint64_t seed,
-                                          double work_scale, TaskPool* pool) {
-  SOCRATES_REQUIRE_MSG(repetitions >= 1,
-                       "stratified repetitions must be >= 1 (got 0)");
-  const StratifiedExplorer explorer(threads_per_stratum);
-  ExploreContext ctx{model, kernel, space, repetitions, seed, work_scale, pool, 1};
-  return explorer.explore(ctx).points;
 }
 
 }  // namespace socrates::dse

@@ -7,6 +7,8 @@
 // the model-guided two-stage search of two_stage.hpp — implements the
 // same Explorer interface, and socrates::Pipeline selects one through
 // the SOCRATES_DSE environment knob (see DseStrategyOptions::from_env).
+// A strategy only chooses *which* points to measure: each one hands
+// its flat indices to profile_points(), the one per-point loop.
 //
 // The determinism contract every strategy honours (docs/DSE.md): a
 // design point is identified by its *flat index* in the full factorial
@@ -26,6 +28,7 @@
 
 #include "dse/dse.hpp"
 #include "support/hash.hpp"
+#include "support/task_pool.hpp"
 
 namespace socrates::dse {
 
@@ -45,6 +48,7 @@ struct ExploreContext {
 /// order unless the strategy documents another deterministic order.
 struct ExploreResult {
   std::vector<ProfiledPoint> points;
+  std::vector<std::size_t> flat;  ///< flat index of each of `points`
   std::size_t evaluated = 0;    ///< unique design points profiled (incl. dropped)
   std::size_t dropped = 0;      ///< points lost after all attempts (chaos/faults)
   std::size_t retries = 0;      ///< extra per-point attempts that were needed
@@ -73,7 +77,7 @@ class Explorer {
   virtual void add_to_key(Hasher& h) const = 0;
 };
 
-/// The paper's exhaustive sweep (supervised_dse under the hood).
+/// The paper's exhaustive sweep: every flat index of the space.
 class FullFactorialExplorer final : public Explorer {
  public:
   std::string_view name() const override { return "full"; }
@@ -134,8 +138,6 @@ struct DseStrategyOptions {
   /// SOCRATES_DSE_{FRACTION,STRATA,BUDGET,POP,GENS,PRUNE} knobs, each
   /// hardened through support/env (clamp + warn once).
   static DseStrategyOptions from_env();
-
-  const char* kind_name() const;
 };
 
 /// Builds the configured strategy.  `seed_configs` (config indices of
@@ -144,47 +146,17 @@ struct DseStrategyOptions {
 std::unique_ptr<Explorer> make_explorer(const DseStrategyOptions& options,
                                         std::vector<std::size_t> seed_configs = {});
 
-// ---- free-function strategies (historical interface) -----------------------
-
-/// Profiles a uniformly random subset of the space (without
-/// replacement).  `fraction` in (0, 1]; at least one point per run.
-/// Rejects fraction outside (0, 1] (NaN included) and repetitions == 0
-/// with a ContractViolation naming the bad argument.
-std::vector<ProfiledPoint> random_subset_dse(const platform::PerformanceModel& model,
-                                             const platform::KernelModelParams& kernel,
-                                             const DesignSpace& space, double fraction,
-                                             std::size_t repetitions, std::uint64_t seed,
-                                             double work_scale = 1.0,
-                                             TaskPool* pool = nullptr);
-
-/// Stratified sampling: every (config, binding) stratum is profiled at
-/// `threads_per_stratum` thread counts (>= 2) — the extremes plus
-/// geometrically spaced interior points.
-std::vector<ProfiledPoint> stratified_dse(const platform::PerformanceModel& model,
-                                          const platform::KernelModelParams& kernel,
-                                          const DesignSpace& space,
-                                          std::size_t threads_per_stratum,
-                                          std::size_t repetitions, std::uint64_t seed,
-                                          double work_scale = 1.0,
-                                          TaskPool* pool = nullptr);
+/// The one per-point profiling loop every strategy runs.  Profiles the
+/// given flat indices of the full factorial space in parallel on
+/// ctx.pool: each point draws noise from the stream (seed, flat index)
+/// and gets ctx.point_attempts tries (chaos site "dse.point", indexed
+/// by (flat index, attempt)); a point that exhausts them is dropped.
+/// Logic errors propagate.  Survivors keep the order of `flat_indices`
+/// and `flat` names them; `evaluated` is flat_indices.size().
+ExploreResult profile_points(const ExploreContext& ctx,
+                             const std::vector<std::size_t>& flat_indices);
 
 namespace detail {
-
-/// Profiles the given flat indices of the full factorial space in
-/// parallel with supervised per-point retry: each point draws noise
-/// from the stream (seed, flat index) — the streams full_factorial_dse
-/// uses — and gets ctx.point_attempts tries (chaos site "dse.point",
-/// indexed by flat index, exactly like supervised_dse).  Survivors keep
-/// the order of `flat_indices`; `surviving_flat` names them.
-struct FlatProfile {
-  std::vector<ProfiledPoint> points;
-  std::vector<std::size_t> surviving_flat;
-  std::size_t dropped = 0;
-  std::size_t retries = 0;
-};
-
-FlatProfile profile_flat_supervised(const ExploreContext& ctx,
-                                    const std::vector<std::size_t>& flat_indices);
 
 /// (config, threads, binding) indices of a flat point.
 struct FlatPoint {

@@ -95,9 +95,9 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
         fresh.push_back(flat);
     }
     if (fresh.empty()) return 0;
-    auto profile = detail::profile_flat_supervised(ctx, fresh);
-    for (std::size_t k = 0; k < profile.surviving_flat.size(); ++k)
-      archive.emplace(profile.surviving_flat[k], std::move(profile.points[k]));
+    auto profile = profile_points(ctx, fresh);
+    for (std::size_t k = 0; k < profile.flat.size(); ++k)
+      archive.emplace(profile.flat[k], std::move(profile.points[k]));
     attempted.insert(fresh.begin(), fresh.end());
     result.dropped += profile.dropped;
     result.retries += profile.retries;
@@ -310,7 +310,11 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   result.evaluated = attempted.size();
   span.set_arg("evaluated", static_cast<std::int64_t>(result.evaluated));
   result.points.reserve(archive.size());
-  for (auto& [flat, point] : archive) result.points.push_back(std::move(point));
+  result.flat.reserve(archive.size());
+  for (auto& [flat, point] : archive) {
+    result.points.push_back(std::move(point));
+    result.flat.push_back(flat);
+  }
   return result;
 }
 

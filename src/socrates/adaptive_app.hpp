@@ -26,7 +26,7 @@
 
 #include "margot/context.hpp"
 #include "platform/executor.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 
 namespace socrates {
 

@@ -125,6 +125,7 @@ std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
                                const platform::KernelModelParams& params,
                                const dse::DesignSpace& space, std::size_t repetitions,
                                std::uint64_t seed, double work_scale,
+                               const dse::Explorer& explorer,
                                std::uint64_t stage_version) {
   Hasher h;
   h.add("dse-profile");
@@ -149,20 +150,6 @@ std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
   h.add(static_cast<std::uint64_t>(repetitions));
   h.add(seed);
   h.add(work_scale);
-  count_key_bytes(h);
-  return h.digest();
-}
-
-std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
-                               const std::string& source,
-                               const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale,
-                               const dse::Explorer& explorer,
-                               std::uint64_t stage_version) {
-  Hasher h;
-  h.add(dse_artifact_key(platform, source, params, space, repetitions, seed,
-                         work_scale, stage_version));
   explorer.add_to_key(h);
   count_key_bytes(h);
   return h.digest();
@@ -219,35 +206,6 @@ const cobayn::CobaynModel& Pipeline::cobayn_model() {
 const cobayn::CobaynModel& Pipeline::cobayn_model() const {
   SOCRATES_REQUIRE_MSG(!cobayn_.empty(), "COBAYN model not trained yet");
   return cobayn_.front();
-}
-
-Pipeline::ProfileResult Pipeline::profile_cached(
-    const std::string& source, const platform::KernelModelParams& params,
-    const dse::DesignSpace& space, std::size_t repetitions, std::uint64_t seed,
-    double work_scale) {
-  const std::uint64_t key = dse_artifact_key(platform_, source, params, space,
-                                             repetitions, seed, work_scale);
-  if (auto payload = cache_->load(key, "dse-profile")) {
-    try {
-      std::istringstream in(*payload);
-      return {dse::load_profile(in), true, 0};
-    } catch (const ContractViolation& e) {
-      log_warn() << "stored DSE artifact unusable (" << e.what() << "); reprofiling";
-    }
-  }
-  auto run = dse::supervised_dse(platform_, params, space, repetitions, seed,
-                                 work_scale, &pool_, options_.dse_point_attempts);
-  if (run.dropped == 0) {
-    std::ostringstream out;
-    dse::save_profile(out, run.points);
-    cache_->store(key, "dse-profile", out.str());
-  } else {
-    // Never cache a degraded profile: a later chaos-free build must
-    // recompute the full factorial, not inherit the holes.
-    log_warn() << "DSE dropped " << run.dropped << " of " << space.size()
-               << " design points; profile not cached";
-  }
-  return {std::move(run.points), false, run.dropped};
 }
 
 Pipeline::ExploreCacheResult Pipeline::explore_cached(
@@ -504,11 +462,12 @@ std::vector<dse::ProfiledPoint> Pipeline::profile_space(
   SOCRATES_REQUIRE(repetitions >= 1);
   const auto& bench = kernels::find_benchmark(benchmark_name);
   const StageScope dse_stage("Dse");
-  ProfileResult result;
+  ExploreCacheResult result;
   const auto sup = supervisor_.run("Dse", [&] {
     ChaosEngine::global().on_stage("stage.Dse");
-    result = profile_cached(kernels::benchmark_source(benchmark_name), bench.model,
-                            space, repetitions, seed, work_scale);
+    result = explore_cached(kernels::benchmark_source(benchmark_name), bench.model,
+                            space, repetitions, seed, work_scale,
+                            dse::FullFactorialExplorer());
     if (result.points.empty()) throw Error("DSE dropped every design point");
   });
   StageReport stage;
@@ -522,22 +481,6 @@ std::vector<dse::ProfiledPoint> Pipeline::profile_space(
                  " design points dropped";
   report_.stages.push_back(std::move(stage));
   return std::move(result.points);
-}
-
-weaver::WovenBenchmark Pipeline::weave(const std::string& benchmark_name) {
-  const StageScope weave_stage("Weave");
-  weaver::WovenBenchmark woven;
-  const auto sup = supervisor_.run("Weave", [&] {
-    ChaosEngine::global().on_stage("stage.Weave");
-    woven = weaver::weave_benchmark_paper_space(
-        benchmark_name, kernels::benchmark_source(benchmark_name));
-  });
-  StageReport stage;
-  stage.name = "Weave";
-  stage.seconds = weave_stage.finish();
-  stage.attempts = sup.attempts;
-  report_.stages.push_back(std::move(stage));
-  return woven;
 }
 
 }  // namespace socrates

@@ -10,8 +10,6 @@
 // process or, with $SOCRATES_CACHE_DIR, in a later one — reloads the
 // artifact instead of recomputing it.  docs/PIPELINE.md documents the
 // stage graph, the key recipes and the determinism contract.
-//
-// Toolchain (toolchain.hpp) remains as a thin facade over this class.
 #pragma once
 
 #include <cstddef>
@@ -116,18 +114,10 @@ std::uint64_t cobayn_artifact_key(const platform::PerformanceModel& platform,
                                   const cobayn::TrainOptions& train,
                                   std::uint64_t stage_version = kCobaynStageVersion);
 
-/// Artifact key of a profiled design space (full-factorial recipe —
-/// profile_space() and the figure benches use it).
-std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
-                               const std::string& source,
-                               const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale,
-                               std::uint64_t stage_version = kDseStageVersion);
-
-/// Explorer-aware key: the base recipe plus the strategy fingerprint
-/// (Explorer::add_to_key), so two strategies — or two budgets of one
-/// strategy — never share a stored profile.
+/// Artifact key of a profiled design space: every input of the
+/// profile plus the strategy fingerprint (Explorer::add_to_key), so two
+/// strategies — or two budgets of one strategy — never share a stored
+/// profile.
 std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
                                const std::string& source,
                                const platform::KernelModelParams& params,
@@ -166,20 +156,17 @@ class Pipeline {
   AdaptiveBinary build_from_source(const std::string& name, const std::string& source,
                                    double seq_work_s = 5.0);
 
-  /// Dse stage only: profiles `space` for a registered benchmark
-  /// through the artifact cache (the figure benches sweep design
-  /// spaces directly).  Appends a Dse entry to last_report().
+  /// Dse stage only: profiles the whole of `space` for a registered
+  /// benchmark through the artifact cache (the figure benches sweep
+  /// design spaces directly).  Appends a Dse entry to last_report().
   std::vector<dse::ProfiledPoint> profile_space(const std::string& benchmark_name,
                                                 const dse::DesignSpace& space,
                                                 std::size_t repetitions,
                                                 std::uint64_t seed,
                                                 double work_scale = 1.0);
 
-  /// Weave stage only (the Table I experiment).
-  weaver::WovenBenchmark weave(const std::string& benchmark_name);
-
   /// Stage reports of the most recent build() / build_from_source()
-  /// (standalone profile_space()/weave() calls append to it).
+  /// (standalone profile_space() calls append to it).
   const PipelineReport& last_report() const { return report_; }
 
   /// The supervisor every stage runs under (policy from options()).
@@ -191,19 +178,9 @@ class Pipeline {
                             double work_scale);
   /// Trains or cache-loads the model; true when it came from the cache.
   bool ensure_cobayn();
-  /// Cache-through factorial profiling with per-point fault tolerance.
-  struct ProfileResult {
-    std::vector<dse::ProfiledPoint> points;
-    bool cache_hit = false;
-    std::size_t dropped = 0;  ///< points lost to faults (degraded coverage)
-  };
-  ProfileResult profile_cached(const std::string& source,
-                               const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale);
-  /// Cache-through exploration with the configured strategy (build's
-  /// Dse stage).  `evaluated` counts unique points the strategy spent
-  /// budget on (points.size() on a cache hit).
+  /// Cache-through exploration with per-point fault tolerance (the Dse
+  /// stage of build() and profile_space()).  `evaluated` counts unique
+  /// points the strategy spent budget on (points.size() on a cache hit).
   struct ExploreCacheResult {
     std::vector<dse::ProfiledPoint> points;
     bool cache_hit = false;

@@ -8,7 +8,7 @@
 // without RAPL (like this build container) the energy fields report
 // `energy_available == false` instead of fabricating numbers.
 // This is the adoption path for running SOCRATES on real hardware:
-// swap full_factorial_dse's model evaluation for this profiler.
+// swap dse::profile_point's model evaluation for this profiler.
 #pragma once
 
 #include <cstddef>

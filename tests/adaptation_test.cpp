@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "socrates/adaptive_app.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 
 namespace socrates {
 namespace {
@@ -21,7 +21,7 @@ AdaptiveApplication make_app(const char* bench, double work_scale = 0.02) {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 3;
   opts.work_scale = work_scale;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   return AdaptiveApplication(tc.build(bench), model(), work_scale);
 }
 

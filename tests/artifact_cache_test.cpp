@@ -9,9 +9,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cobayn/cobayn.hpp"
 #include "dse/dse.hpp"
+#include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/sources.hpp"
 #include "socrates/pipeline.hpp"
@@ -176,22 +178,32 @@ TEST(ArtifactKeys, DseKeyTracksEveryInput) {
   const auto space = dse::DesignSpace::paper_space(model().topology());
   const auto& bench = kernels::find_benchmark("2mm");
   const std::string source = kernels::benchmark_source("2mm");
+  const dse::FullFactorialExplorer full;
 
-  const auto base = dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0);
-  EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0), base);
-
-  EXPECT_NE(dse_artifact_key(model(), source + "\n", bench.model, space, 5, 2018, 1.0),
+  const auto base =
+      dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0, full);
+  EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0, full),
             base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 4, 2018, 1.0), base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2019, 1.0), base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.5), base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
+
+  EXPECT_NE(
+      dse_artifact_key(model(), source + "\n", bench.model, space, 5, 2018, 1.0, full),
+      base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 4, 2018, 1.0, full),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2019, 1.0, full),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.5, full),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0, full,
                              kDseStageVersion + 1),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
+                             dse::RandomSubsetExplorer(0.25)),
             base);
 
   auto narrower = space;
   narrower.thread_counts.pop_back();
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, narrower, 5, 2018, 1.0),
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, narrower, 5, 2018, 1.0, full),
             base);
 }
 
@@ -199,8 +211,10 @@ TEST(ArtifactKeys, DseKeyTracksEveryInput) {
 
 TEST(ArtifactFormats, ProfileRoundTripsExactly) {
   const auto space = dse::DesignSpace::paper_space(model().topology());
-  const auto points = dse::full_factorial_dse(
-      model(), kernels::find_benchmark("mvt").model, space, 2, 11);
+  const auto points =
+      dse::FullFactorialExplorer()
+          .explore({model(), kernels::find_benchmark("mvt").model, space, 2, 11})
+          .points;
 
   std::ostringstream first;
   dse::save_profile(first, points);
@@ -221,8 +235,11 @@ TEST(ArtifactFormats, ProfileRoundTripsExactly) {
 }
 
 TEST(ArtifactFormats, MalformedProfileThrows) {
+  // The last two claim more points than any stream backs: the loader
+  // must fail on the missing points, not on allocating for the claim.
   for (const char* bad :
-       {"", "profile v2 1", "profile v1 notanumber", "profile v1 1\n0 cfg 9 0 1 0"}) {
+       {"", "profile v2 1", "profile v1 notanumber", "profile v1 1\n0 cfg 9 0 1 0",
+        "profile v1 100000000000", "profile v1 1000000000000000000"}) {
     std::istringstream in(bad);
     EXPECT_THROW(dse::load_profile(in), ContractViolation) << bad;
   }
@@ -254,7 +271,28 @@ TEST(ArtifactFormats, CobaynModelRoundTripsExactly) {
 }
 
 TEST(ArtifactFormats, MalformedCobaynModelThrows) {
-  for (const char* bad : {"", "not a model", "cobayn v2 0 0", "cobayn v1 10 5"}) {
+  // 64 binary parents give the last variable a 2^65-entry CPT, a size
+  // that wraps to 0 in a size_t: its empty CPT must not pass as that.
+  std::ostringstream wrapped;
+  wrapped << "cobayn v1 10 1\ndiscretizer v1 0\nbayesnet v1 65 1\n";
+  for (int v = 0; v < 65; ++v) wrapped << 'v' << v << " 2\n";
+  for (int v = 0; v < 64; ++v) wrapped << "0\n";
+  wrapped << 64;
+  for (int p = 0; p < 64; ++p) wrapped << ' ' << p;
+  wrapped << '\n';
+  for (int v = 0; v < 64; ++v) wrapped << "2 0x1p-1 0x1p-1\n";
+  wrapped << "0\n";
+
+  // Before `wrapped`, four payloads claim huge discretizer columns, cut
+  // lists, network variables and CPTs that the stream never delivers.
+  for (const std::string& bad : std::vector<std::string>{
+           "", "not a model", "cobayn v2 0 0", "cobayn v1 10 5",
+           "cobayn v1 10 0\ndiscretizer v1 100000000000",
+           "cobayn v1 10 0\ndiscretizer v1 1\n100000000000",
+           "cobayn v1 10 1\ndiscretizer v1 0\nbayesnet v1 100000000000 0",
+           "cobayn v1 10 1\ndiscretizer v1 0\nbayesnet v1 1 1\nx 100000000000\n0\n"
+           "100000000000",
+           wrapped.str()}) {
     std::istringstream in(bad);
     EXPECT_THROW(cobayn::CobaynModel::load(in), ContractViolation) << bad;
   }
@@ -330,6 +368,24 @@ TEST(PipelineCache, DifferentWorkScaleOrSeedMissesTheCache) {
   EXPECT_FALSE(reseeded.last_report().stage("CobaynPredict")->cache_hit);
 }
 
+TEST(PipelineCache, SecondProfileSpaceCallHitsTheDseCache) {
+  ArtifactCache cache;
+  Pipeline pipeline(model(), small_options(), &cache);
+  const auto space = dse::DesignSpace::paper_space(model().topology());
+
+  const auto cold = pipeline.profile_space("atax", space, 2, 2018);
+  ASSERT_NE(pipeline.last_report().stage("Dse"), nullptr);
+  EXPECT_FALSE(pipeline.last_report().stage("Dse")->cache_hit);
+  EXPECT_EQ(cold.size(), space.size());
+
+  const auto warm = pipeline.profile_space("atax", space, 2, 2018);
+  EXPECT_TRUE(pipeline.last_report().stage("Dse")->cache_hit);
+  std::ostringstream a, b;
+  dse::save_profile(a, cold);
+  dse::save_profile(b, warm);
+  EXPECT_EQ(b.str(), a.str());
+}
+
 TEST(PipelineCache, UnusableStoredArtifactTriggersRecomputeNotCrash) {
   ArtifactCache cache;
   const auto opts = small_options();
@@ -346,6 +402,19 @@ TEST(PipelineCache, UnusableStoredArtifactTriggersRecomputeNotCrash) {
   EXPECT_FALSE(pipeline.last_report().stage("CobaynPredict")->cache_hit);
   EXPECT_EQ(binary.profile.size(), binary.space.size());
   EXPECT_TRUE(pipeline.cobayn_ready());
+
+  // A profile that claims more points than it holds is unusable too:
+  // the Dse stage re-profiles on its first attempt instead of failing
+  // on an allocation for the claimed count.
+  const auto space = dse::DesignSpace::paper_space(model().topology());
+  cache.store(dse_artifact_key(model(), kernels::benchmark_source("atax"),
+                               kernels::find_benchmark("atax").model, space, 2, 2018,
+                               1.0, dse::FullFactorialExplorer()),
+              "dse-profile", "profile v1 100000000000");
+  const auto points = pipeline.profile_space("atax", space, 2, 2018);
+  EXPECT_FALSE(pipeline.last_report().stage("Dse")->cache_hit);
+  EXPECT_EQ(pipeline.last_report().stage("Dse")->attempts, 1u);
+  EXPECT_EQ(points.size(), space.size());
 }
 
 }  // namespace

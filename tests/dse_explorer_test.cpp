@@ -63,6 +63,22 @@ TEST_F(DseExplorer, DecodeKnobsRoundTripsAcrossEveryStrategy) {
        std::vector<const Explorer*>{&full, &subset, &stratified, &two_stage}) {
     const auto result = e->explore(context(kernel));
     ASSERT_FALSE(result.points.empty()) << e->name();
+    if (e == &full) {
+      EXPECT_EQ(result.evaluated, space().size());
+    }
+
+    // Each returned point names its flat index, and that index decodes
+    // to the point's own configuration, threads and binding.
+    ASSERT_EQ(result.flat.size(), result.points.size()) << e->name();
+    for (std::size_t k = 0; k < result.points.size(); ++k) {
+      const auto& p = result.points[k];
+      const auto fp = detail::decompose_flat(space(), result.flat[k]);
+      EXPECT_EQ(fp.config, p.config_index) << e->name() << " point " << k;
+      EXPECT_EQ(space().thread_counts[fp.thread], p.configuration.threads)
+          << e->name() << " point " << k;
+      EXPECT_EQ(space().bindings[fp.binding], p.configuration.binding)
+          << e->name() << " point " << k;
+    }
 
     std::set<std::tuple<std::size_t, int>> profiled;
     for (const auto& p : result.points)
@@ -87,7 +103,6 @@ TEST_F(DseExplorer, MakeExplorerBuildsTheConfiguredStrategy) {
   EXPECT_EQ(make_explorer(options)->name(), "stratified");
   options.kind = DseStrategyOptions::Kind::kTwoStage;
   EXPECT_EQ(make_explorer(options, {4, 5})->name(), "two-stage");
-  EXPECT_STREQ(options.kind_name(), "two-stage");
 }
 
 TEST_F(DseExplorer, FingerprintsSeparateStrategiesAndBudgets) {
@@ -110,15 +125,19 @@ TEST_F(DseExplorer, FingerprintsSeparateStrategiesAndBudgets) {
   EXPECT_EQ(fingerprint(sub_a), fingerprint(RandomSubsetExplorer(0.25)));
 }
 
-TEST_F(DseExplorer, FullFactorialExplorerMatchesTheFreeFunction) {
+TEST_F(DseExplorer, ProfilePointsKeepsTheRequestOrderAndTheSweepBits) {
+  // The one per-point loop: survivors come back in the caller's order,
+  // each measured exactly as the full sweep measures that flat index.
   const auto& kernel = kernels::find_benchmark("atax").model;
-  const auto via_explorer = FullFactorialExplorer().explore(context(kernel));
-  const auto via_function = full_factorial_dse(model(), kernel, space(), 2, 11);
-  ASSERT_EQ(via_explorer.points.size(), via_function.size());
-  EXPECT_EQ(via_explorer.evaluated, space().size());
-  for (std::size_t i = 0; i < via_function.size(); ++i) {
-    EXPECT_EQ(via_explorer.points[i].exec_time_mean_s, via_function[i].exec_time_mean_s);
-    EXPECT_EQ(via_explorer.points[i].power_mean_w, via_function[i].power_mean_w);
+  const auto full = FullFactorialExplorer().explore(context(kernel));
+  const std::vector<std::size_t> wanted = {300, 7, 511};
+  const auto picked = profile_points(context(kernel), wanted);
+  EXPECT_EQ(picked.flat, wanted);
+  EXPECT_EQ(picked.evaluated, wanted.size());
+  ASSERT_EQ(picked.points.size(), wanted.size());
+  for (std::size_t k = 0; k < wanted.size(); ++k) {
+    EXPECT_EQ(picked.points[k].exec_time_mean_s, full.points[wanted[k]].exec_time_mean_s);
+    EXPECT_EQ(picked.points[k].power_mean_w, full.points[wanted[k]].power_mean_w);
   }
 }
 
@@ -216,7 +235,7 @@ TEST_F(DseExplorer, StrategyOptionsDefaultsReproduceThePaper) {
   const DseStrategyOptions options;
   EXPECT_EQ(options.kind, DseStrategyOptions::Kind::kFull);
   EXPECT_EQ(options.max_representatives, 0u);
-  EXPECT_STREQ(options.kind_name(), "full");
+  EXPECT_EQ(make_explorer(options)->name(), "full");
 }
 
 // ---- representative pruning --------------------------------------------------------
@@ -233,7 +252,7 @@ ProfiledPoint point(double exec_s, double power_w, std::size_t config_index = 0,
 
 TEST_F(DseExplorer, RepresentativesKeepTheExtremesAndTheCap) {
   const auto& kernel = kernels::find_benchmark("2mm").model;
-  const auto full = full_factorial_dse(model(), kernel, space(), 2, 2018);
+  const auto full = FullFactorialExplorer().explore(context(kernel, 2, 2018)).points;
   const auto rs = select_representatives(full, 6);
 
   ASSERT_LE(rs.representatives.size(), 6u);

@@ -1,5 +1,5 @@
-// Tests for the sampling DSE strategies (explorer.hpp's historical
-// free-function interface).
+// Tests for the sampling DSE strategies: RandomSubsetExplorer and
+// StratifiedExplorer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,15 +25,31 @@ const DesignSpace& space() {
   return kSpace;
 }
 
+std::vector<ProfiledPoint> explore(const Explorer& explorer,
+                                   const platform::KernelModelParams& kernel,
+                                   std::size_t repetitions, std::uint64_t seed) {
+  return explorer.explore({model(), kernel, space(), repetitions, seed}).points;
+}
+
+std::vector<ProfiledPoint> random_subset(const platform::KernelModelParams& kernel,
+                                         double fraction, std::size_t repetitions,
+                                         std::uint64_t seed) {
+  return explore(RandomSubsetExplorer(fraction), kernel, repetitions, seed);
+}
+
+std::vector<ProfiledPoint> stratified(const platform::KernelModelParams& kernel,
+                                      std::size_t threads_per_stratum,
+                                      std::size_t repetitions, std::uint64_t seed) {
+  return explore(StratifiedExplorer(threads_per_stratum), kernel, repetitions, seed);
+}
+
 TEST(RandomSubsetDse, BudgetIsRespected) {
-  const auto points = random_subset_dse(model(), kernels::find_benchmark("2mm").model,
-                                        space(), 0.25, 2, 9);
+  const auto points = random_subset(kernels::find_benchmark("2mm").model, 0.25, 2, 9);
   EXPECT_EQ(points.size(), 128u);  // ceil(0.25 * 512)
 }
 
 TEST(RandomSubsetDse, PointsAreDistinct) {
-  const auto points = random_subset_dse(model(), kernels::find_benchmark("atax").model,
-                                        space(), 0.1, 2, 11);
+  const auto points = random_subset(kernels::find_benchmark("atax").model, 0.1, 2, 11);
   std::set<std::tuple<std::size_t, std::size_t, int>> seen;
   for (const auto& p : points)
     seen.insert({p.config_index, p.configuration.threads,
@@ -42,16 +58,15 @@ TEST(RandomSubsetDse, PointsAreDistinct) {
 }
 
 TEST(RandomSubsetDse, FullFractionCoversEverything) {
-  const auto points = random_subset_dse(model(), kernels::find_benchmark("mvt").model,
-                                        space(), 1.0, 1, 5);
+  const auto points = random_subset(kernels::find_benchmark("mvt").model, 1.0, 1, 5);
   EXPECT_EQ(points.size(), space().size());
 }
 
 TEST(RandomSubsetDse, DeterministicPerSeedDifferentAcrossSeeds) {
   const auto& k = kernels::find_benchmark("syrk").model;
-  const auto a = random_subset_dse(model(), k, space(), 0.2, 1, 42);
-  const auto b = random_subset_dse(model(), k, space(), 0.2, 1, 42);
-  const auto c = random_subset_dse(model(), k, space(), 0.2, 1, 43);
+  const auto a = random_subset(k, 0.2, 1, 42);
+  const auto b = random_subset(k, 0.2, 1, 42);
+  const auto c = random_subset(k, 0.2, 1, 43);
   ASSERT_EQ(a.size(), b.size());
   bool all_equal_ab = true;
   bool all_equal_ac = a.size() == c.size();
@@ -68,17 +83,16 @@ TEST(RandomSubsetDse, DeterministicPerSeedDifferentAcrossSeeds) {
 
 TEST(RandomSubsetDse, RejectsBadFraction) {
   const auto& k = kernels::find_benchmark("2mm").model;
-  EXPECT_THROW(random_subset_dse(model(), k, space(), 0.0, 1, 1), ContractViolation);
-  EXPECT_THROW(random_subset_dse(model(), k, space(), 1.5, 1, 1), ContractViolation);
-  EXPECT_THROW(random_subset_dse(model(), k, space(), -0.25, 1, 1), ContractViolation);
-  EXPECT_THROW(random_subset_dse(model(), k, space(), std::nan(""), 1, 1),
-               ContractViolation);
+  EXPECT_THROW(random_subset(k, 0.0, 1, 1), ContractViolation);
+  EXPECT_THROW(random_subset(k, 1.5, 1, 1), ContractViolation);
+  EXPECT_THROW(random_subset(k, -0.25, 1, 1), ContractViolation);
+  EXPECT_THROW(random_subset(k, std::nan(""), 1, 1), ContractViolation);
 }
 
 TEST(RandomSubsetDse, RejectsZeroRepetitions) {
   const auto& k = kernels::find_benchmark("2mm").model;
   try {
-    random_subset_dse(model(), k, space(), 0.25, 0, 1);
+    random_subset(k, 0.25, 0, 1);
     FAIL() << "repetitions == 0 must throw";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("repetitions"), std::string::npos)
@@ -88,12 +102,11 @@ TEST(RandomSubsetDse, RejectsZeroRepetitions) {
 
 TEST(StratifiedDse, RejectsZeroRepetitions) {
   const auto& k = kernels::find_benchmark("2mm").model;
-  EXPECT_THROW(stratified_dse(model(), k, space(), 6, 0, 1), ContractViolation);
+  EXPECT_THROW(stratified(k, 6, 0, 1), ContractViolation);
 }
 
 TEST(StratifiedDse, CoversEveryStratumWithAnchors) {
-  const auto points = stratified_dse(model(), kernels::find_benchmark("2mm").model,
-                                     space(), 5, 2, 7);
+  const auto points = stratified(kernels::find_benchmark("2mm").model, 5, 2, 7);
   // Every (config, binding) pair appears, with threads 1 and 32 present.
   std::set<std::pair<std::size_t, int>> strata;
   std::set<std::size_t> threads_seen;
@@ -109,8 +122,7 @@ TEST(StratifiedDse, CoversEveryStratumWithAnchors) {
 }
 
 TEST(StratifiedDse, LadderIsGeometric) {
-  const auto points = stratified_dse(model(), kernels::find_benchmark("mvt").model,
-                                     space(), 6, 1, 7);
+  const auto points = stratified(kernels::find_benchmark("mvt").model, 6, 1, 7);
   std::set<std::size_t> threads_seen;
   for (const auto& p : points) threads_seen.insert(p.configuration.threads);
   // Geometric spacing: more resolution at low thread counts.
@@ -126,8 +138,8 @@ TEST(StratifiedDse, SampledKnowledgeStillDrivesTheAsrtm) {
   using M = margot::ContextMetrics;
   const auto& k = kernels::find_benchmark("2mm").model;
 
-  const auto full = full_factorial_dse(model(), k, space(), 3, 2018);
-  const auto sampled = stratified_dse(model(), k, space(), 6, 3, 2018);
+  const auto full = explore(FullFactorialExplorer(), k, 3, 2018);
+  const auto sampled = stratified(k, 6, 3, 2018);
 
   margot::Asrtm full_rtm(to_knowledge_base(full));
   margot::Asrtm samp_rtm(to_knowledge_base(sampled));

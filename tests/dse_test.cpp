@@ -6,6 +6,7 @@
 #include <set>
 
 #include "dse/dse.hpp"
+#include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -21,8 +22,9 @@ const platform::PerformanceModel& model() {
 
 std::vector<ProfiledPoint> profile(const char* bench, std::size_t reps = 3) {
   const auto space = DesignSpace::paper_space(model().topology());
-  return full_factorial_dse(model(), kernels::find_benchmark(bench).model, space, reps,
-                            1234);
+  return FullFactorialExplorer()
+      .explore({model(), kernels::find_benchmark(bench).model, space, reps, 1234})
+      .points;
 }
 
 TEST(DesignSpace, PaperSpaceShape) {
@@ -140,7 +142,8 @@ TEST(Pareto, WideSpreadConfirmsNoOneFitsAll) {
   double widest = 0.0;
   for (const auto& b : kernels::all_benchmarks()) {
     const auto space = DesignSpace::paper_space(model().topology());
-    const auto points = full_factorial_dse(model(), b.model, space, 2, 7);
+    const auto points =
+        FullFactorialExplorer().explore({model(), b.model, space, 2, 7}).points;
     const auto front = pareto_filter(points);
     ASSERT_GT(front.size(), 3u) << b.name;
     double pmin = 1e100, pmax = 0.0;

@@ -11,7 +11,7 @@
 #include "kernels/registry.hpp"
 #include "platform/executor.hpp"
 #include "socrates/input_aware_app.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace socrates {
@@ -128,8 +128,8 @@ TEST(InputAwareBroadcast, ConstraintsApplyToEveryCluster) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 2;
-  Toolchain tc(kModel, opts);
-  InputAwareApplication app(build_input_aware(tc.pipeline(), "2mm", {0.05, 1.0}), kModel);
+  Pipeline tc(kModel, opts);
+  InputAwareApplication app(build_input_aware(tc, "2mm", {0.05, 1.0}), kModel);
 
   using M = margot::ContextMetrics;
   app.set_rank_all(margot::Rank::minimize_exec_time(M::kExecTime));
@@ -150,7 +150,7 @@ TEST(ToolchainWeave, WovenUnitsIdenticalAcrossBuilds) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 1;
-  Toolchain tc(kModel, opts);
+  Pipeline tc(kModel, opts);
   const auto a = tc.build("seidel-2d");
   const auto b = tc.build("seidel-2d");
   EXPECT_EQ(ir::print(a.woven.unit), ir::print(b.woven.unit));

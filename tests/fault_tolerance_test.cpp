@@ -11,7 +11,7 @@
 #include "margot/monitor.hpp"
 #include "platform/fault_injection.hpp"
 #include "socrates/adaptive_app.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace socrates::margot {
@@ -423,7 +423,7 @@ AdaptiveApplication make_app() {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 3;
   opts.work_scale = 0.02;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   return AdaptiveApplication(tc.build("2mm"), model(), opts.work_scale);
 }
 

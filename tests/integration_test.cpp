@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "socrates/adaptive_app.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace socrates {
@@ -16,18 +16,18 @@ const platform::PerformanceModel& model() {
   return kModel;
 }
 
-Toolchain& toolchain() {
-  static Toolchain kToolchain = [] {
+Pipeline& pipeline() {
+  static Pipeline kPipeline = [] {
     ToolchainOptions opts;
     opts.dse_repetitions = 3;
     opts.corpus_size = 32;
-    return Toolchain(model(), opts);
+    return Pipeline(model(), opts);
   }();
-  return kToolchain;
+  return kPipeline;
 }
 
 TEST(Toolchain, BuildProducesAllArtifacts) {
-  const auto bin = toolchain().build("2mm");
+  const auto bin = pipeline().build("2mm");
   EXPECT_EQ(bin.benchmark, "2mm");
   EXPECT_EQ(bin.custom_configs.size(), 4u);
   EXPECT_EQ(bin.space.configs.size(), 8u);  // 4 levels + 4 CFs
@@ -48,7 +48,7 @@ TEST(Toolchain, TwoStageWithPruningShrinksTheDeployment) {
   opts.corpus_size = 32;
   opts.dse.kind = dse::DseStrategyOptions::Kind::kTwoStage;
   opts.dse.max_representatives = 6;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   const auto bin = tc.build("2mm");
 
   EXPECT_LT(bin.profile.size(), bin.space.size() / 4)
@@ -66,7 +66,7 @@ TEST(Toolchain, PaperCfModeUsesPublishedConfigs) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 1;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   const auto bin = tc.build("mvt");
   const auto paper = platform::paper_custom_configs();
   ASSERT_EQ(bin.custom_configs.size(), paper.size());
@@ -75,17 +75,17 @@ TEST(Toolchain, PaperCfModeUsesPublishedConfigs) {
 }
 
 TEST(Toolchain, CobaynTrainsOnce) {
-  toolchain().train_cobayn();
-  EXPECT_TRUE(toolchain().cobayn_trained());
-  const auto* before = &toolchain().cobayn_model();
-  toolchain().train_cobayn();  // idempotent
-  EXPECT_EQ(before, &toolchain().cobayn_model());
+  pipeline().cobayn_model();
+  EXPECT_TRUE(pipeline().cobayn_ready());
+  const auto* before = &pipeline().cobayn_model();
+  pipeline().cobayn_model();  // idempotent
+  EXPECT_EQ(before, &pipeline().cobayn_model());
 }
 
 // ---- Figure 4 behaviour: static power-budget sweep -----------------------------
 
 TEST(PowerBudgetSweep, ExecTimeMonotoneNonIncreasing) {
-  const auto bin = toolchain().build("2mm");
+  const auto bin = pipeline().build("2mm");
   margot::Asrtm asrtm(bin.knowledge);
   asrtm.set_rank(margot::Rank::minimize_exec_time(margot::ContextMetrics::kExecTime));
   const auto handle = asrtm.add_constraint(
@@ -107,7 +107,7 @@ TEST(PowerBudgetSweep, ExecTimeMonotoneNonIncreasing) {
 }
 
 TEST(PowerBudgetSweep, SelectedThreadsGrowWithBudget) {
-  const auto bin = toolchain().build("2mm");
+  const auto bin = pipeline().build("2mm");
   margot::Asrtm asrtm(bin.knowledge);
   asrtm.set_rank(margot::Rank::minimize_exec_time(margot::ContextMetrics::kExecTime));
   const auto handle = asrtm.add_constraint(
@@ -125,7 +125,7 @@ TEST(RuntimeTrace, RankSwitchMovesTheOperatingPoint) {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 3;
   opts.work_scale = 0.01;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   AdaptiveApplication app(tc.build("2mm"), model(), 0.01);
 
   using M = margot::ContextMetrics;
@@ -158,7 +158,7 @@ TEST(RuntimeTrace, IterationsAdvanceSimulatedTime) {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 1;
   opts.work_scale = 0.05;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   AdaptiveApplication app(tc.build("syrk"), model(), 0.05);
   app.asrtm().set_rank(
       margot::Rank::maximize_throughput(margot::ContextMetrics::kThroughput));
@@ -178,7 +178,7 @@ TEST(RuntimeTrace, FeedbackKeepsSelectionStableUnderNoise) {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 3;
   opts.work_scale = 0.02;
-  Toolchain tc(model(), opts);
+  Pipeline tc(model(), opts);
   AdaptiveApplication app(tc.build("2mm"), model(), 0.02);
   app.asrtm().set_rank(
       margot::Rank::maximize_throughput(margot::ContextMetrics::kThroughput));

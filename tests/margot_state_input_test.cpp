@@ -3,7 +3,7 @@
 
 #include "margot/state_manager.hpp"
 #include "socrates/input_aware_app.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace socrates {
@@ -93,8 +93,8 @@ InputAwareApplication make_input_aware() {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 2;
-  Toolchain tc(model(), opts);
-  auto binary = build_input_aware(tc.pipeline(), "gemver", {0.01, 0.2, 1.0});
+  Pipeline tc(model(), opts);
+  auto binary = build_input_aware(tc, "gemver", {0.01, 0.2, 1.0});
   return InputAwareApplication(std::move(binary), model());
 }
 
@@ -102,8 +102,8 @@ TEST(InputAware, BuildsOneClusterPerScale) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 1;
-  Toolchain tc(model(), opts);
-  const auto binary = build_input_aware(tc.pipeline(), "2mm", {0.05, 0.5});
+  Pipeline tc(model(), opts);
+  const auto binary = build_input_aware(tc, "2mm", {0.05, 0.5});
   EXPECT_EQ(binary.knowledge.cluster_count(), 2u);
   EXPECT_EQ(binary.knowledge.cluster(0).features[0], 0.05);
   EXPECT_EQ(binary.space.size(), 512u);
@@ -143,8 +143,8 @@ TEST(InputAware, PerClusterKnowledgeDiffers) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 2;
-  Toolchain tc(model(), opts);
-  const auto binary = build_input_aware(tc.pipeline(), "gemver", {0.01, 1.0});
+  Pipeline tc(model(), opts);
+  const auto binary = build_input_aware(tc, "gemver", {0.01, 1.0});
 
   const auto best_throughput_threads = [&](std::size_t cluster) {
     const auto& kb = binary.knowledge.cluster(cluster).knowledge;
@@ -159,10 +159,10 @@ TEST(InputAware, PerClusterKnowledgeDiffers) {
 TEST(InputAware, RejectsBadScales) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
-  Toolchain tc(model(), opts);
-  EXPECT_THROW(build_input_aware(tc.pipeline(), "2mm", {}), ContractViolation);
-  EXPECT_THROW(build_input_aware(tc.pipeline(), "2mm", {0.0}), ContractViolation);
-  EXPECT_THROW(build_input_aware(tc.pipeline(), "2mm", {1.5}), ContractViolation);
+  Pipeline tc(model(), opts);
+  EXPECT_THROW(build_input_aware(tc, "2mm", {}), ContractViolation);
+  EXPECT_THROW(build_input_aware(tc, "2mm", {0.0}), ContractViolation);
+  EXPECT_THROW(build_input_aware(tc, "2mm", {1.5}), ContractViolation);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "kernels/registry.hpp"
 #include "margot/kb_io.hpp"
 #include "platform/perf_model.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
 
@@ -149,8 +149,8 @@ TEST(ToolchainDeterminism, SameSeedSameKnowledge) {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 2;
   opts.seed = 777;
-  Toolchain a(model, opts);
-  Toolchain b(model, opts);
+  Pipeline a(model, opts);
+  Pipeline b(model, opts);
   const auto bin_a = a.build("atax");
   const auto bin_b = b.build("atax");
   ASSERT_EQ(bin_a.knowledge.size(), bin_b.knowledge.size());
@@ -168,8 +168,8 @@ TEST(ToolchainDeterminism, CobaynPredictionsAreStable) {
   ToolchainOptions opts;
   opts.dse_repetitions = 1;
   opts.corpus_size = 24;
-  Toolchain a(model, opts);
-  Toolchain b(model, opts);
+  Pipeline a(model, opts);
+  Pipeline b(model, opts);
   const auto cf_a = a.build("doitgen").custom_configs;
   const auto cf_b = b.build("doitgen").custom_configs;
   ASSERT_EQ(cf_a.size(), cf_b.size());

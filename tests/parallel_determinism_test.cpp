@@ -14,6 +14,7 @@
 #include "cobayn/cobayn.hpp"
 #include "cobayn/evaluation.hpp"
 #include "dse/dse.hpp"
+#include "dse/explorer.hpp"
 #include "dse/two_stage.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/sources.hpp"
@@ -31,6 +32,16 @@ const platform::PerformanceModel& model() {
   return kModel;
 }
 
+/// The paper's full sweep of `space` on `pool`.
+std::vector<dse::ProfiledPoint> full_sweep(const platform::KernelModelParams& kernel,
+                                           const dse::DesignSpace& space,
+                                           std::size_t repetitions, std::uint64_t seed,
+                                           double work_scale, TaskPool& pool) {
+  return dse::FullFactorialExplorer()
+      .explore({model(), kernel, space, repetitions, seed, work_scale, &pool})
+      .points;
+}
+
 // save_profile writes hexfloat doubles (exact round trip), so equal
 // strings means bit-identical profiles.
 std::string profile_bytes(const std::vector<dse::ProfiledPoint>& points) {
@@ -44,14 +55,12 @@ TEST(ParallelDeterminism, DseProfileIsByteIdenticalAtAnyJobCount) {
   const auto& kernel = kernels::find_benchmark("2mm").model;
 
   TaskPool serial(1);
-  const auto baseline =
-      dse::full_factorial_dse(model(), kernel, space, 3, 777, 1.0, &serial);
+  const auto baseline = full_sweep(kernel, space, 3, 777, 1.0, serial);
   const std::string baseline_bytes = profile_bytes(baseline);
 
   for (const std::size_t jobs : {2u, 8u}) {
     TaskPool pool(jobs);
-    const auto parallel =
-        dse::full_factorial_dse(model(), kernel, space, 3, 777, 1.0, &pool);
+    const auto parallel = full_sweep(kernel, space, 3, 777, 1.0, pool);
     EXPECT_EQ(profile_bytes(parallel), baseline_bytes) << "jobs=" << jobs;
   }
 }
@@ -70,8 +79,7 @@ TEST(ParallelDeterminism, TracingDoesNotPerturbResultsAndSpanCountsMatch) {
   const auto run = [&](std::size_t jobs) {
     tracer.clear();
     TaskPool pool(jobs);
-    const auto profile =
-        dse::full_factorial_dse(model(), kernel, space, 2, 777, 1.0, &pool);
+    const auto profile = full_sweep(kernel, space, 2, 777, 1.0, pool);
     std::size_t dse_spans = 0;
     std::size_t task_spans = 0;
     for (const auto& e : tracer.snapshot()) {
@@ -144,7 +152,7 @@ TEST(ParallelDeterminism, WarmSeededTwoStageIsByteIdenticalAtAnyJobCount) {
   // by flat index, so membership — not position — is the contract),
   // and its measurements are bit-identical to a direct profile of the
   // same flat index.
-  const auto direct = dse::detail::profile_flat_supervised(ctx, params.warm_flat_seeds);
+  const auto direct = dse::profile_points(ctx, params.warm_flat_seeds);
   ASSERT_EQ(direct.points.size(), params.warm_flat_seeds.size());
   for (const auto& want : direct.points) {
     const bool present = std::any_of(
@@ -187,7 +195,7 @@ TEST(ParallelDeterminism, TwoStagePointsMatchTheFullSweepBitForBit) {
   const auto space = dse::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("atax").model;
   TaskPool pool(4);
-  const auto full = dse::full_factorial_dse(model(), kernel, space, 2, 99, 1.0, &pool);
+  const auto full = full_sweep(kernel, space, 2, 99, 1.0, pool);
 
   dse::TwoStageExplorer::Params params;
   params.seed_configs = {5};
@@ -211,9 +219,9 @@ TEST(ParallelDeterminism, DseWorkScaleAndSeedStillMatter) {
   const auto space = dse::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("atax").model;
   TaskPool pool(4);
-  const auto a = dse::full_factorial_dse(model(), kernel, space, 2, 1, 1.0, &pool);
-  const auto b = dse::full_factorial_dse(model(), kernel, space, 2, 2, 1.0, &pool);
-  const auto c = dse::full_factorial_dse(model(), kernel, space, 2, 1, 1.5, &pool);
+  const auto a = full_sweep(kernel, space, 2, 1, 1.0, pool);
+  const auto b = full_sweep(kernel, space, 2, 2, 1.0, pool);
+  const auto c = full_sweep(kernel, space, 2, 1, 1.5, pool);
   EXPECT_NE(profile_bytes(a), profile_bytes(b));
   EXPECT_NE(profile_bytes(a), profile_bytes(c));
 }

@@ -8,7 +8,7 @@
 #include "kernels/registry.hpp"
 #include "margot/context.hpp"
 #include "kernels/sources.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace socrates {
@@ -84,7 +84,7 @@ TEST(BuildFromSource, WholePipelineOnArbitraryCode) {
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 2;
-  Toolchain tc(model, opts);
+  Pipeline tc(model, opts);
   const auto binary = tc.build_from_source("userapp", source, 2.0);
 
   EXPECT_EQ(binary.benchmark, "userapp");
@@ -102,7 +102,7 @@ TEST(BuildFromSource, RequiresAKernelFunction) {
   const auto model = platform::PerformanceModel::paper_platform();
   ToolchainOptions opts;
   opts.use_paper_cfs = true;
-  Toolchain tc(model, opts);
+  Pipeline tc(model, opts);
   EXPECT_THROW(tc.build_from_source("bad", "int main(void) { return 0; }"),
                ContractViolation);
 }

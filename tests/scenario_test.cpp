@@ -3,7 +3,7 @@
 
 #include "margot/state_manager.hpp"
 #include "socrates/scenario.hpp"
-#include "socrates/toolchain.hpp"
+#include "socrates/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace socrates {
@@ -18,7 +18,7 @@ AdaptiveApplication make_app() {
   opts.use_paper_cfs = true;
   opts.dse_repetitions = 2;
   opts.work_scale = 0.02;
-  Toolchain tc(kModel, opts);
+  Pipeline tc(kModel, opts);
   return AdaptiveApplication(tc.build("2mm"), kModel, opts.work_scale);
 }
 
