@@ -240,13 +240,13 @@ int main(int argc, char** argv) {
       if (actual == expected) ++resume_exact;
     }
   }
-  const bool lost_bound_ok = max_lost < clean_options.group_commit;
+  const bool lost_bound_ok = max_lost < clean_options.checkpoint.group_commit;
   const bool resume_ok = resume_exact == config.tenants;
   all_ok = all_ok && clean.conservation_ok && lost_bound_ok && resume_ok;
   std::printf(
       "   resume: %zu/%zu tenants exact, max lost %zu events (group_commit %zu) "
       "in %.2fs -> %s\n",
-      resume_exact, config.tenants, max_lost, clean_options.group_commit,
+      resume_exact, config.tenants, max_lost, clean_options.checkpoint.group_commit,
       resume_seconds, resume_ok && lost_bound_ok ? "OK" : "FAIL");
 
   // ---- overload regime ---------------------------------------------------------
@@ -398,7 +398,7 @@ int main(int argc, char** argv) {
   w.kv("tenants", static_cast<std::uint64_t>(config.tenants));
   w.kv("shards", static_cast<std::uint64_t>(base.shards));
   w.kv("ring_capacity", static_cast<std::uint64_t>(base.ring_capacity));
-  w.kv("group_commit", static_cast<std::uint64_t>(base.group_commit));
+  w.kv("group_commit", static_cast<std::uint64_t>(base.checkpoint.group_commit));
   w.end_object();
   write_regime(w, "clean", clean);
   w.key("resume").begin_object();

@@ -45,7 +45,6 @@ Asrtm::Asrtm(KnowledgeBase knowledge) : knowledge_(std::move(knowledge)) {
   SOCRATES_REQUIRE_MSG(!knowledge_.empty(),
                        "AS-RTM needs at least one operating point");
   corrections_.assign(knowledge_.metric_names().size(), 1.0);
-  applied_corrections_ = corrections_;
   correction_versions_.assign(corrections_.size(), 0);
   health_.assign(knowledge_.size(), OpHealth{});
   scratch_alive_.assign(knowledge_.size(), 1);
@@ -114,26 +113,6 @@ void Asrtm::set_rank(Rank rank) {
   if (journal_) note_decision_trigger("rank changed");
 }
 
-double Asrtm::expected(std::size_t op, std::size_t m) const {
-  return knowledge_.metric_means(m)[op] * corrections_[m];
-}
-
-double Asrtm::constraint_value(std::size_t op, const Constraint& c) const {
-  const double mean = expected(op, c.metric);
-  const double margin =
-      c.confidence * knowledge_.metric_stddevs(c.metric)[op] * corrections_[c.metric];
-  // Pessimistic direction: upper bound for "<" goals, lower for ">".
-  const bool upper =
-      c.op == ComparisonOp::kLess || c.op == ComparisonOp::kLessEqual;
-  return upper ? mean + margin : mean - margin;
-}
-
-double Asrtm::violation(std::size_t op, const Constraint& c) const {
-  const double value = constraint_value(op, c);
-  if (compare(value, c.op, c.goal)) return 0.0;
-  return std::abs(value - c.goal);
-}
-
 namespace {
 
 /// Bounded best-first buffer: the chosen point plus up to kMaxRejected
@@ -188,7 +167,7 @@ std::uint64_t rank_order_index_mask(std::size_t n) {
 
 std::size_t Asrtm::find_best_operating_point() const {
   SOCRATES_ASRTM_GUARD("find_best_operating_point");
-  if (cache_enabled_ && decided_epoch_ == decision_epoch_) {
+  if (decided_epoch_ == decision_epoch_) {
     // Nothing that feeds the decision changed: O(1), allocation-free.
     last_decision_cached_ = true;
     last_feasible_ = cached_feasible_;
@@ -201,14 +180,19 @@ std::size_t Asrtm::find_best_operating_point() const {
     return cached_best_;
   }
   last_decision_cached_ = false;
-  const std::size_t best = cache_enabled_ ? decide_incremental() : decide_brute();
+  // The best-first walk when it can decide, the dense sweep otherwise.
+  if (!rank_order_.built) build_rank_order();
+  const double stop_factor =
+      rank_order_.entries.empty() ? 0.0 : rank_stop_factor(/*corrected=*/true);
+  std::size_t best = 0;
+  if (stop_factor == 0.0 || !decide_by_walk(best, stop_factor)) best = decide_dense();
   decided_epoch_ = decision_epoch_;
   cached_best_ = best;
   cached_feasible_ = last_feasible_;
   return best;
 }
 
-std::size_t Asrtm::fallback_safest(const std::vector<double>& corrections) const {
+std::size_t Asrtm::fallback_safest() const {
   // Every clone is quarantined: fall back to the historically safest
   // point (fewest quarantines, then shortest remaining cooldown) so
   // the application keeps making progress.
@@ -222,7 +206,7 @@ std::size_t Asrtm::fallback_safest(const std::vector<double>& corrections) const
   }
   last_feasible_ = false;
   if (journal_)
-    journal_switch(safest, rank_.evaluate(knowledge_, safest, corrections), {});
+    journal_switch(safest, rank_.evaluate(knowledge_, safest, corrections_), {});
   return safest;
 }
 
@@ -232,7 +216,7 @@ const std::vector<double>& Asrtm::constraint_column(std::size_t handle) const {
   if (!column.valid || column.correction_version != correction_versions_[c.metric]) {
     const std::size_t n = knowledge_.size();
     column.values.resize(n);
-    const double correction = applied_corrections_[c.metric];
+    const double correction = corrections_[c.metric];
     const bool upper =
         c.op == ComparisonOp::kLess || c.op == ComparisonOp::kLessEqual;
     const double confidence = c.confidence;
@@ -285,7 +269,7 @@ double Asrtm::rank_stop_factor(bool corrected) const {
     double base_low = bounds.min;
     double base_high = bounds.max + 1.0;
     if (corrected) {
-      const double correction = applied_corrections_[term.metric];
+      const double correction = corrections_[term.metric];
       if (!(correction > 0.0 && std::isnormal(correction))) return 0.0;
       const int e = std::ilogb(correction);
       base_low += e;
@@ -384,16 +368,6 @@ void Asrtm::build_rank_order() const {
   std::sort(order.entries.begin(), head, std::greater<>());
 }
 
-std::size_t Asrtm::decide_incremental() const {
-  if (!rank_order_.built) build_rank_order();
-  if (!rank_order_.entries.empty()) {
-    const double stop_factor = rank_stop_factor(/*corrected=*/true);
-    std::size_t chosen = 0;
-    if (stop_factor != 0.0 && decide_by_walk(chosen, stop_factor)) return chosen;
-  }
-  return decide_dense();
-}
-
 bool Asrtm::decide_by_walk(std::size_t& chosen, double stop_factor) const {
   // The walk tests the same constraint columns as the dense pass, with
   // the same expression, so both agree on every point.
@@ -430,7 +404,7 @@ bool Asrtm::decide_by_walk(std::size_t& chosen, double stop_factor) const {
     if (top.count >= exact && key * stop_factor < top.keys[exact - 1]) break;
     const std::size_t i = entry & mask;
     if (!feasible(i)) continue;
-    top.insert({i, rank_.evaluate(knowledge_, i, applied_corrections_)}, maximize, key);
+    top.insert({i, rank_.evaluate(knowledge_, i, corrections_)}, maximize, key);
     ++scored;
   }
   // No unquarantined point meets every constraint: relaxation (or the
@@ -455,8 +429,9 @@ std::size_t Asrtm::decide_dense() const {
   // indices per constraint, every pass streams all n points and folds
   // the result into an alive mask.  The per-element work is a handful
   // of arithmetic ops and compares over contiguous doubles, which the
-  // compiler can vectorize; semantics are proven bit-identical to
-  // decide_brute() by the differential fuzz in asrtm_incremental_test.
+  // compiler can vectorize; the differential fuzz in
+  // asrtm_incremental_test proves it bit-identical to the brute-force
+  // oracle in tests/asrtm_reference.hpp.
   const std::size_t n = knowledge_.size();
   std::vector<unsigned char>& alive = scratch_alive_;
   std::vector<double>& violations = scratch_violations_;
@@ -469,7 +444,7 @@ std::size_t Asrtm::decide_dense() const {
     alive[i] = ok;
     alive_count += ok;
   }
-  if (alive_count == 0) return fallback_safest(applied_corrections_);
+  if (alive_count == 0) return fallback_safest();
 
   std::uint64_t rows_swept = n;
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -478,7 +453,7 @@ std::size_t Asrtm::decide_dense() const {
     const Constraint& c = constraints_[handle];
     const double* column = constraint_column(handle).data();
     const double goal = c.goal;
-    // v = max(sign * (value - goal), 0): identical to the reference's
+    // v = max(sign * (value - goal), 0): identical to the oracle's
     // `compare(value, op, goal) ? 0 : abs(value - goal)` for all four
     // ComparisonOps — at value == goal both give exactly 0, and the
     // strict/non-strict distinction only moves points between "v == 0"
@@ -507,8 +482,10 @@ std::size_t Asrtm::decide_dense() const {
       const double v = alive[i] ? violations[i] : kInf;
       min_violation = std::min(min_violation, v);
     }
-    // Same arithmetic as violation_ties_minimum(), hoisted out of the
-    // loop so the survivors pass is a single compare per point.
+    // Violations within 1e-12 relative (rounding in mean * correction)
+    // plus 1e-15 absolute of the minimum tie with it: a purely relative
+    // test collapses to exact equality once the minimum is tiny or
+    // denormal and would drop ties that differ only by noise.
     const double tie_limit = min_violation + (1e-12 * min_violation + 1e-15);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -524,16 +501,16 @@ std::size_t Asrtm::decide_dense() const {
   // Rank among the survivors; the journal's runners-up come from a
   // bounded top-k pass.  The first alive index seeds the scan and
   // strictly-better comparison keeps the lowest index on ties, matching
-  // the reference exactly.
+  // the oracle exactly.
   const bool maximize = rank_.direction == RankDirection::kMaximize;
   std::size_t best = 0;
   while (alive[best] == 0) ++best;
-  double best_value = rank_.evaluate(knowledge_, best, applied_corrections_);
+  double best_value = rank_.evaluate(knowledge_, best, corrections_);
   TopCandidates top;
   if (journal_) top.insert({best, best_value}, maximize);
   for (std::size_t i = best + 1; i < n; ++i) {
     if (alive[i] == 0) continue;
-    const double value = rank_.evaluate(knowledge_, i, applied_corrections_);
+    const double value = rank_.evaluate(knowledge_, i, corrections_);
     if (journal_) top.insert({i, value}, maximize);
     const bool better = maximize ? value > best_value : value < best_value;
     if (better) {
@@ -557,129 +534,11 @@ std::size_t Asrtm::decide_dense() const {
   return best;
 }
 
-std::size_t Asrtm::decide_brute() const {
-  // The retained reference implementation: identical semantics to
-  // decide_incremental with none of the caching — per-call constraint
-  // sort, violations recomputed from the exact corrections, runners-up
-  // by full score + stable sort.  Differential tests drive both.
-  std::vector<std::size_t> candidates;
-  candidates.reserve(knowledge_.size());
-  for (std::size_t i = 0; i < knowledge_.size(); ++i)
-    if (!is_quarantined(i)) candidates.push_back(i);
-  if (candidates.empty()) return fallback_safest(corrections_);
-
-  std::vector<const Constraint*> ordered;
-  ordered.reserve(constraints_.size());
-  for (const auto& c : constraints_) ordered.push_back(&c);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Constraint* a, const Constraint* b) {
-                     return a->priority < b->priority;
-                   });
-
-  last_feasible_ = true;
-  for (const Constraint* c : ordered) {
-    std::vector<std::size_t> satisfying;
-    std::vector<double> violations;
-    violations.reserve(candidates.size());
-    double min_violation = std::numeric_limits<double>::infinity();
-    for (const std::size_t i : candidates) {
-      const double v = violation(i, *c);
-      violations.push_back(v);
-      if (v == 0.0)
-        satisfying.push_back(i);
-      else
-        min_violation = std::min(min_violation, v);
-    }
-    if (!satisfying.empty()) {
-      candidates = std::move(satisfying);
-      continue;
-    }
-    last_feasible_ = false;
-    std::vector<std::size_t> least;
-    for (std::size_t k = 0; k < candidates.size(); ++k)
-      if (violation_ties_minimum(violations[k], min_violation))
-        least.push_back(candidates[k]);
-    candidates = std::move(least);
-  }
-  SOCRATES_ENSURE(!candidates.empty());
-
-  std::size_t best = candidates.front();
-  double best_value = rank_.evaluate(knowledge_, best, corrections_);
-  std::vector<DecisionCandidate> scored;
-  if (journal_) {
-    scored.reserve(candidates.size());
-    scored.push_back({best, best_value});
-  }
-  for (std::size_t k = 1; k < candidates.size(); ++k) {
-    const std::size_t i = candidates[k];
-    const double value = rank_.evaluate(knowledge_, i, corrections_);
-    if (journal_) scored.push_back({i, value});
-    const bool better = rank_.direction == RankDirection::kMaximize
-                            ? value > best_value
-                            : value < best_value;
-    if (better) {
-      best = i;
-      best_value = value;
-    }
-  }
-  if (journal_) {
-    scored.erase(std::remove_if(scored.begin(), scored.end(),
-                                [best](const DecisionCandidate& c) {
-                                  return c.op_index == best;
-                                }),
-                 scored.end());
-    const bool maximize = rank_.direction == RankDirection::kMaximize;
-    std::stable_sort(scored.begin(), scored.end(),
-                     [maximize](const DecisionCandidate& a, const DecisionCandidate& b) {
-                       return maximize ? a.score > b.score : a.score < b.score;
-                     });
-    if (scored.size() > kMaxRejected) scored.resize(kMaxRejected);
-    journal_switch(best, best_value, std::move(scored));
-  }
-  return best;
-}
-
-void Asrtm::set_decision_epsilon(double epsilon) {
-  SOCRATES_ASRTM_GUARD("set_decision_epsilon");
-  SOCRATES_REQUIRE(epsilon >= 0.0 && std::isfinite(epsilon));
-  decision_epsilon_ = epsilon;
-  // Re-sync so the new threshold measures drift from here, not from a
-  // value accepted under the old threshold.  Deliberately applies *any*
-  // nonzero drift (its own boundary is 0): this is a re-baseline, not a
-  // threshold test — see the boundary contract in the header.
-  for (std::size_t m = 0; m < corrections_.size(); ++m) {
-    if (applied_corrections_[m] != corrections_[m]) {
-      applied_corrections_[m] = corrections_[m];
-      ++correction_versions_[m];
-    }
-  }
-  touch_decision();
-}
-
-void Asrtm::set_decision_cache_enabled(bool enabled) {
-  cache_enabled_ = enabled;
-  touch_decision();
-}
-
 void Asrtm::invalidate_decision_cache() {
   for (std::size_t m = 0; m < correction_versions_.size(); ++m)
     ++correction_versions_[m];
   rank_order_.built = false;
   touch_decision();
-}
-
-void Asrtm::accept_correction(std::size_t metric) {
-  // Boundary contract (documented at set_decision_epsilon): a drift of
-  // exactly decision_epsilon_ IS applied, mirroring the re-sync there,
-  // which re-baselines any nonzero drift.  The `drift != 0` term keeps
-  // the epsilon == 0 default meaning "any change invalidates".
-  const double drift =
-      std::abs(corrections_[metric] - applied_corrections_[metric]);
-  if (drift != 0.0 && drift >= decision_epsilon_) {
-    applied_corrections_[metric] = corrections_[metric];
-    ++correction_versions_[metric];
-    touch_decision();
-  }
 }
 
 // ---- decision journal ------------------------------------------------------
@@ -732,7 +591,7 @@ void Asrtm::journal_switch(std::size_t chosen, double chosen_score,
   record.feasible = last_feasible_;
   record.epoch = decision_epoch_;
 
-  // Runners-up arrive best-first (bounded top-k or pre-sorted), already
+  // Runners-up arrive best-first from the bounded top-k, already
   // trimmed to the journal's limit.
   record.rejected = std::move(others);
 
@@ -765,9 +624,15 @@ void Asrtm::send_feedback(std::size_t op_index, std::size_t metric, double obser
   event.metric = metric;
   event.value = observed;
   if (valid) {
-    corrections_[metric] =
+    const double updated =
         (1.0 - feedback_alpha_) * corrections_[metric] + feedback_alpha_ * instant_ratio;
-    accept_correction(metric);
+    // Any change of value is a new decision input; bit-identical
+    // feedback leaves the epoch clean and every column valid.
+    if (updated != corrections_[metric]) {
+      corrections_[metric] = updated;
+      ++correction_versions_[metric];
+      touch_decision();
+    }
     event.kind = RuntimeEvent::Kind::kFeedback;
   } else {
     ++feedback_rejected_;
@@ -786,11 +651,10 @@ double Asrtm::correction(std::size_t metric) const {
 
 void Asrtm::reset_feedback() {
   SOCRATES_ASRTM_GUARD("reset_feedback");
-  corrections_.assign(corrections_.size(), 1.0);
   bool moved = false;
-  for (std::size_t m = 0; m < applied_corrections_.size(); ++m) {
-    if (applied_corrections_[m] != 1.0) {
-      applied_corrections_[m] = 1.0;
+  for (std::size_t m = 0; m < corrections_.size(); ++m) {
+    if (corrections_[m] != 1.0) {
+      corrections_[m] = 1.0;
       ++correction_versions_[m];
       moved = true;
     }
@@ -880,15 +744,7 @@ Asrtm::Snapshot Asrtm::snapshot() const {
   snap.corrections = corrections_;
   snap.feedback_alpha = feedback_alpha_;
   snap.quarantine = quarantine_;
-  snap.health.reserve(health_.size());
-  for (const OpHealth& h : health_) {
-    Snapshot::OpHealthState s;
-    s.consecutive_failures = h.consecutive_failures;
-    s.times_quarantined = h.times_quarantined;
-    s.cooldown = h.cooldown;
-    s.probing = h.probing;
-    snap.health.push_back(s);
-  }
+  snap.health = health_;
   snap.quarantine_events = quarantine_events_;
   snap.decision_epoch = decision_epoch_;
   return snap;
@@ -909,17 +765,11 @@ void Asrtm::restore(const Snapshot& snapshot) {
   corrections_ = snapshot.corrections;
   feedback_alpha_ = snapshot.feedback_alpha;
   quarantine_ = snapshot.quarantine;
-  for (std::size_t i = 0; i < health_.size(); ++i) {
-    health_[i].consecutive_failures = snapshot.health[i].consecutive_failures;
-    health_[i].times_quarantined = snapshot.health[i].times_quarantined;
-    health_[i].cooldown = snapshot.health[i].cooldown;
-    health_[i].probing = snapshot.health[i].probing;
-  }
+  health_ = snapshot.health;
   quarantine_events_ = snapshot.quarantine_events;
   // Resume past both histories so the epoch stays monotonic, and land
   // dirty: the restored corrections/health must feed the next decision.
   decision_epoch_ = std::max(decision_epoch_, snapshot.decision_epoch) + 1;
-  applied_corrections_ = corrections_;
   for (std::size_t m = 0; m < correction_versions_.size(); ++m)
     ++correction_versions_[m];
 }

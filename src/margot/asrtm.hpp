@@ -42,9 +42,9 @@
 // range the margin covers, every point quarantined — take the dense
 // path: each constraint is applied as branchless mask/select passes over
 // a contiguous SoA column (see operating_point.hpp), then every survivor
-// is scored.  A brute-force reference implementation of the same
-// semantics is retained behind set_decision_cache_enabled(false) and
-// differential tests assert the two are bit-identical.
+// is scored.  This is the only decision engine; a brute-force oracle of
+// the same semantics lives with the tests (tests/asrtm_reference.hpp),
+// and a differential fuzz asserts the two decide bit-identically.
 #pragma once
 
 #include <atomic>
@@ -127,39 +127,14 @@ class Asrtm {
   // ---- incremental decision engine -------------------------------------
   /// Monotonic epoch of the decision inputs.  Every mutation that can
   /// change the outcome of find_best_operating_point (constraint
-  /// add/remove/goal change, rank change, accepted correction drift,
-  /// quarantine transition, restore) bumps it; while it stands still
-  /// the decision is served from an O(1) cache.
+  /// add/remove/goal change, rank change, a feedback correction that
+  /// changes value, quarantine transition, restore) bumps it; while it
+  /// stands still the decision is served from an O(1) cache.
   std::uint64_t decision_epoch() const { return decision_epoch_; }
 
   /// True when the last find_best_operating_point() returned the
   /// clean-epoch cached index without recomputing anything.
   bool last_decision_was_cached() const { return last_decision_cached_; }
-
-  /// Correction-drift threshold: a send_feedback update that moves a
-  /// correction *less than* `epsilon` away from the value the decision
-  /// engine last applied does NOT invalidate the cached decision (the
-  /// exact EWMA is still tracked and returned by correction()).  The
-  /// default 0.0 keeps decisions bit-identical to the brute-force
-  /// reference; a positive epsilon trades staleness for fewer
-  /// recomputations under noisy feedback.
-  ///
-  /// Boundary contract: a drift of *exactly* epsilon counts as beyond
-  /// the threshold and IS applied.  set_decision_epsilon itself
-  /// re-syncs any nonzero pending drift unconditionally — changing the
-  /// threshold re-baselines it, so the new epsilon measures drift from
-  /// the current EWMA rather than from a value accepted under the old
-  /// threshold.  Both sides therefore agree that drift at the boundary
-  /// is actionable (regression-tested in asrtm_incremental_test).
-  void set_decision_epsilon(double epsilon);
-  double decision_epsilon() const { return decision_epsilon_; }
-
-  /// Disables the incremental engine: every decision then runs the
-  /// retained brute-force reference algorithm (per-call constraint
-  /// sort, no cached columns, no epoch cache).  Differential tests
-  /// drive one instance per mode and assert identical behaviour.
-  void set_decision_cache_enabled(bool enabled);
-  bool decision_cache_enabled() const { return cache_enabled_; }
 
   /// Drops every cached decision artifact (epoch cache and all
   /// constraint-value columns): the next decision pays the full cold
@@ -168,7 +143,10 @@ class Asrtm {
 
   // ---- feedback (knowledge adaptation) ---------------------------------
   /// Reports an observation of `metric` while `op_index` was applied.
-  /// Updates the correction factor with an EWMA of observed/expected.
+  /// Updates the correction factor with an EWMA of observed/expected;
+  /// when the averaged value changes, the epoch and the columns of that
+  /// metric's constraints are dirtied (bit-identical feedback dirties
+  /// nothing).
   /// A non-finite or non-positive observation (e.g. a stalled kernel
   /// with zero throughput), or one whose ratio to the prediction is not
   /// a positive normal double (it overflowed or underflowed), is
@@ -198,6 +176,14 @@ class Asrtm {
 
   void set_quarantine_options(QuarantineOptions options);
 
+  /// Per-point fault bookkeeping: the learned half of the quarantine.
+  struct OpHealth {
+    std::size_t consecutive_failures = 0;
+    std::size_t times_quarantined = 0;
+    std::size_t cooldown = 0;   ///< > 0: quarantined for this many iterations
+    bool probing = false;       ///< cooldown expired, not yet proven healthy
+  };
+
   /// Reports that the clone behind `op_index` crashed or produced a
   /// runaway result.  After `failure_threshold` consecutive failures
   /// (immediately when the point was re-probing) the point is
@@ -223,13 +209,7 @@ class Asrtm {
     std::vector<double> corrections;
     double feedback_alpha = 0.3;
     QuarantineOptions quarantine;
-    struct OpHealthState {
-      std::size_t consecutive_failures = 0;
-      std::size_t times_quarantined = 0;
-      std::size_t cooldown = 0;
-      bool probing = false;
-    };
-    std::vector<OpHealthState> health;
+    std::vector<OpHealth> health;
     std::size_t quarantine_events = 0;
     /// Decision epoch at snapshot time.  restore() resumes strictly
     /// after max(current, snapshot) so epochs stay monotonic across a
@@ -285,17 +265,11 @@ class Asrtm {
   void note_decision_trigger(std::string trigger);
 
  private:
-  struct OpHealth {
-    std::size_t consecutive_failures = 0;
-    std::size_t times_quarantined = 0;
-    std::size_t cooldown = 0;   ///< > 0: quarantined for this many iterations
-    bool probing = false;       ///< cooldown expired, not yet proven healthy
-  };
-
-  /// Cached column of constraint_value() over the whole knowledge base
-  /// for one constraint, tagged with the accepted-correction version of
-  /// its metric so a correction move invalidates exactly the columns
-  /// whose inputs changed.
+  /// Cached column of the pessimistic constraint test value (mean +/-
+  /// confidence * stddev, corrected) over the whole knowledge base for
+  /// one constraint, tagged with the correction version of its metric
+  /// so a correction move invalidates exactly the columns whose inputs
+  /// changed.
   struct ConstraintColumn {
     std::vector<double> values;          ///< one entry per operating point
     std::uint64_t correction_version = 0;
@@ -333,12 +307,6 @@ class Asrtm {
   void quarantine_op(OpHealth& health);
   /// Any decision input changed: the next decision must recompute.
   void touch_decision() { ++decision_epoch_; }
-  /// Accepts corrections_[metric] as the value decisions use when it
-  /// drifted beyond decision_epsilon_ from the last accepted value.
-  void accept_correction(std::size_t metric);
-  /// The incremental hot path: the best-first walk when it can decide,
-  /// the dense sweep otherwise.
-  std::size_t decide_incremental() const;
   /// Walks the rank order, scoring only the unquarantined points that
   /// meet every constraint, until no later point can beat (or, with
   /// the journal on, enter) the top candidates.  Returns false, having
@@ -353,16 +321,12 @@ class Asrtm {
   /// key that is not a positive normal double).
   void build_rank_order() const;
   /// 1 + the walk's stop margin when every intermediate of the keys
-  /// (corrected == false) or of Rank::evaluate under the applied
+  /// (corrected == false) or of Rank::evaluate under the current
   /// corrections (corrected == true) provably stays a positive normal
   /// double; 0 when it may not.
   double rank_stop_factor(bool corrected) const;
-  /// The retained brute-force reference: the original O(constraints*n)
-  /// algorithm with per-call sorting and no caching.  Kept for
-  /// differential testing (set_decision_cache_enabled(false)).
-  std::size_t decide_brute() const;
   /// Every point is quarantined: pick the historically safest one.
-  std::size_t fallback_safest(const std::vector<double>& corrections) const;
+  std::size_t fallback_safest() const;
   /// The (lazily recomputed) constraint-value column for a constraint.
   const std::vector<double>& constraint_column(std::size_t handle) const;
   /// Records a journal entry when `chosen` differs from the previously
@@ -372,12 +336,6 @@ class Asrtm {
   /// mutation that does not cause a switch cannot mislabel a later one.
   void journal_switch(std::size_t chosen, double chosen_score,
                       std::vector<DecisionCandidate> runners) const;
-  /// Expected (corrected) value of metric `m` for point `op`.
-  double expected(std::size_t op, std::size_t m) const;
-  /// Pessimistic test value for a constraint (mean +/- conf * stddev).
-  double constraint_value(std::size_t op, const Constraint& c) const;
-  /// How far `op` is from satisfying `c` (0 when satisfied).
-  double violation(std::size_t op, const Constraint& c) const;
 
   /// Emits to the event sink unless a replay/restore is in progress.
   void emit(const RuntimeEvent& event) const;
@@ -386,13 +344,10 @@ class Asrtm {
   std::vector<Constraint> constraints_;  ///< insertion order (handles are indices)
   std::vector<std::size_t> sorted_constraints_;  ///< by priority, stable, kept at mutation time
   Rank rank_;
-  std::vector<double> corrections_;      ///< per metric, multiplicative (exact EWMA)
-  std::vector<double> applied_corrections_;  ///< values decisions use (eps-gated)
-  std::vector<std::uint64_t> correction_versions_;  ///< bumped when applied moves
+  std::vector<double> corrections_;      ///< per metric, multiplicative (EWMA)
+  std::vector<std::uint64_t> correction_versions_;  ///< bumped when a correction moves
   double feedback_alpha_ = 0.3;
-  double decision_epsilon_ = 0.0;
   std::size_t feedback_rejected_ = 0;
-  bool cache_enabled_ = true;
   std::uint64_t decision_epoch_ = 1;     ///< bumped by touch_decision()
   mutable std::uint64_t decided_epoch_ = 0;  ///< epoch of cached_best_
   mutable std::size_t cached_best_ = 0;

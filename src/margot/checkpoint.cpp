@@ -19,6 +19,7 @@
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/serialize.hpp"
 
 namespace socrates::margot {
 
@@ -64,7 +65,10 @@ bool expect_word(std::istream& in, const char* word) {
 }
 
 /// Parses a payload produced by serialize_payload.  Returns false on
-/// any malformation (the caller moves down the ladder).
+/// any malformation (the caller moves down the ladder).  The vectors
+/// grow as values arrive, so a count that claims more values than the
+/// payload holds fails at the first missing value instead of sizing an
+/// allocation.
 bool parse_payload(const std::string& payload, Asrtm::Snapshot& snap,
                    std::string& active_state) {
   std::istringstream in(payload);
@@ -80,17 +84,22 @@ bool parse_payload(const std::string& payload, Asrtm::Snapshot& snap,
   if (!std::getline(in, active_state)) return false;
   std::size_t n = 0;
   if (!expect_word(in, "corrections") || !(in >> n)) return false;
-  snap.corrections.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (!(in >> snap.corrections[i])) return false;
-  if (!expect_word(in, "health") || !(in >> n)) return false;
-  snap.health.resize(n);
+  snap.corrections.clear();
   for (std::size_t i = 0; i < n; ++i) {
+    double correction = 0.0;
+    if (!(in >> correction)) return false;
+    snap.corrections.push_back(correction);
+  }
+  if (!expect_word(in, "health") || !(in >> n)) return false;
+  snap.health.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    Asrtm::OpHealth health;
     int probing = 0;
-    if (!(in >> snap.health[i].consecutive_failures >>
-          snap.health[i].times_quarantined >> snap.health[i].cooldown >> probing))
+    if (!(in >> health.consecutive_failures >> health.times_quarantined >>
+          health.cooldown >> probing))
       return false;
-    snap.health[i].probing = probing != 0;
+    health.probing = probing != 0;
+    snap.health.push_back(health);
   }
   return true;
 }
@@ -114,15 +123,13 @@ SnapLoad load_snapshot(const std::string& file, Asrtm::Snapshot& snap,
     return SnapLoad::kCorrupt;
   }
   in.get();  // the separator newline
-  std::string payload(size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(size));
+  const std::optional<std::string> payload = read_claimed_payload(in, size);
   const std::uint64_t hash = std::strtoull(hash_text.c_str(), nullptr, 16);
-  if (in.gcount() != static_cast<std::streamsize>(size) ||
-      stable_hash64(payload) != hash) {
+  if (!payload || stable_hash64(*payload) != hash) {
     reason = "checkpoint payload truncated or checksum mismatch";
     return SnapLoad::kCorrupt;
   }
-  if (!parse_payload(payload, snap, active_state)) {
+  if (!parse_payload(*payload, snap, active_state)) {
     reason = "malformed checkpoint payload";
     return SnapLoad::kCorrupt;
   }

@@ -7,8 +7,8 @@
 #include <ostream>
 #include <sstream>
 
-#include "support/bench_json.hpp"
 #include "support/error.hpp"
+#include "support/number.hpp"
 #include "support/strings.hpp"
 
 namespace socrates::margot {

@@ -26,13 +26,6 @@ bool compare(double value, ComparisonOp op, double target) {
   return false;
 }
 
-bool violation_ties_minimum(double v, double min_violation) {
-  // 1e-12 relative covers accumulated rounding in mean * correction;
-  // 1e-15 absolute keeps ties alive when the minimum itself is at or
-  // below the noise floor (tiny or denormal violations).
-  return v <= min_violation + (1e-12 * min_violation + 1e-15);
-}
-
 double Rank::evaluate(const KnowledgeBase& kb, std::size_t index,
                       const std::vector<double>& correction) const {
   const std::size_t metric_count = kb.metric_names().size();

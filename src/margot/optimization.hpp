@@ -23,14 +23,6 @@ const char* to_string(ComparisonOp op);
 /// True when `value <op> target`.
 bool compare(double value, ComparisonOp op, double target);
 
-/// True when violation `v` ties with the smallest violation seen, under
-/// a combined absolute + relative tolerance.  A purely relative test
-/// (`v <= min * (1 + 1e-12)`) collapses to exact equality once the
-/// minimum is tiny or denormal — the product rounds back to `min` — and
-/// drops ties that differ only by floating-point noise; the absolute
-/// term keeps them.
-bool violation_ties_minimum(double v, double min_violation);
-
 /// A constraint on one metric.  `confidence` widens the test with the
 /// point's standard deviation (value tested = mean +/- confidence *
 /// stddev, in the pessimistic direction), mirroring mARGOt's

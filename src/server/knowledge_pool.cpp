@@ -121,14 +121,12 @@ void KnowledgePool::load_from_disk() {
       SOCRATES_REQUIRE_MSG(in && magic == "socrates-pool" && version == "v1",
                            "pool: not a pool file");
       in.get();  // header newline
-      std::string payload(payload_bytes, '\0');
-      in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-      SOCRATES_REQUIRE_MSG(static_cast<std::size_t>(in.gcount()) == payload_bytes,
-                           "pool: truncated payload");
-      SOCRATES_REQUIRE_MSG(stable_hash64(payload) == expected_hash,
+      const std::optional<std::string> payload = read_claimed_payload(in, payload_bytes);
+      SOCRATES_REQUIRE_MSG(payload.has_value(), "pool: truncated payload");
+      SOCRATES_REQUIRE_MSG(stable_hash64(*payload) == expected_hash,
                            "pool: payload hash mismatch");
 
-      std::istringstream body(payload);
+      std::istringstream body(*payload);
       std::string tag;
       std::size_t count = 0;
       body >> tag >> count;

@@ -69,9 +69,10 @@ ServerOptions ServerOptions::from_env() {
   o.ring_capacity = env::size_or("SOCRATES_SERVER_RING", o.ring_capacity, 2, 1u << 20);
   o.batch_drain = env::size_or("SOCRATES_SERVER_BATCH", o.batch_drain, 1, 1u << 16);
   o.max_tenants = env::size_or("SOCRATES_SERVER_MAX_TENANTS", o.max_tenants, 1, 1u << 20);
-  o.group_commit = env::size_or("SOCRATES_SERVER_GROUP_COMMIT", o.group_commit, 1, 1u << 16);
-  o.journal_capacity =
-      env::size_or("SOCRATES_SERVER_JOURNAL_CAP", o.journal_capacity, 1, 1u << 24);
+  o.checkpoint.group_commit =
+      env::size_or("SOCRATES_SERVER_GROUP_COMMIT", o.checkpoint.group_commit, 1, 1u << 16);
+  o.checkpoint.journal_capacity = env::size_or("SOCRATES_SERVER_JOURNAL_CAP",
+                                               o.checkpoint.journal_capacity, 1, 1u << 24);
   const std::string policy = env::choice_or(
       "SOCRATES_SERVER_POLICY", "block", {"block", "drop-oldest", "reject"});
   if (policy == "drop-oldest") {
@@ -93,18 +94,7 @@ ServerOptions ServerOptions::from_env() {
   // Storage-resilience knobs ride the checkpoint layer's own env
   // (SOCRATES_CHECKPOINT_GENERATIONS / _FSYNC / _PROBE_MS) so embedded
   // and served AS-RTMs are governed by one setting.
-  margot::CheckpointStore::Options copts;
-  copts.generations = o.checkpoint_generations;
-  copts.fsync_on_commit = o.checkpoint_fsync;
-  copts.probe_base_s = o.checkpoint_probe_base_s;
-  copts.probe_max_s = o.checkpoint_probe_max_s;
-  copts.journal_max_bytes = o.checkpoint_journal_max_bytes;
-  copts = margot::CheckpointStore::Options::from_env(copts);
-  o.checkpoint_generations = copts.generations;
-  o.checkpoint_fsync = copts.fsync_on_commit;
-  o.checkpoint_probe_base_s = copts.probe_base_s;
-  o.checkpoint_probe_max_s = copts.probe_max_s;
-  o.checkpoint_journal_max_bytes = copts.journal_max_bytes;
+  o.checkpoint = margot::CheckpointStore::Options::from_env(o.checkpoint);
   return o;
 }
 
@@ -114,7 +104,7 @@ Server::Server(ServerOptions options)
   SOCRATES_REQUIRE(options_.ring_capacity >= 2);
   SOCRATES_REQUIRE(options_.batch_drain >= 1);
   SOCRATES_REQUIRE(options_.max_tenants >= 1);
-  SOCRATES_REQUIRE(options_.group_commit >= 1);
+  SOCRATES_REQUIRE(options_.checkpoint.group_commit >= 1);
   // Fixed-size slot array: the hot path indexes it lock-free, gated
   // only on tenant_count_, and the array itself never reallocates or
   // mutates once a slot is published.
@@ -133,7 +123,7 @@ Server::Server(ServerOptions options)
     popts.distance_threshold = options_.pool_distance_threshold;
     popts.max_entries = options_.pool_max_entries;
     popts.max_representatives = options_.pool_max_representatives;
-    popts.generations = options_.checkpoint_generations;
+    popts.generations = options_.checkpoint.generations;
     // The pool persists next to the tenant checkpoints (memory-only
     // when persistence is off) and shares their generation policy.
     if (!options_.checkpoint_dir.empty())
@@ -187,16 +177,8 @@ void Server::build_tenant_runtime(Tenant& tenant) {
   // crash-equivalently.
   tenant.store.reset();
   if (!options_.checkpoint_dir.empty()) {
-    margot::CheckpointStore::Options copts;
-    copts.journal_capacity = options_.journal_capacity;
-    copts.group_commit = options_.group_commit;
-    copts.generations = options_.checkpoint_generations;
-    copts.fsync_on_commit = options_.checkpoint_fsync;
-    copts.probe_base_s = options_.checkpoint_probe_base_s;
-    copts.probe_max_s = options_.checkpoint_probe_max_s;
-    copts.journal_max_bytes = options_.checkpoint_journal_max_bytes;
     auto store = std::make_unique<margot::CheckpointStore>(
-        checkpoint_path(tenant.name), copts);
+        checkpoint_path(tenant.name), options_.checkpoint);
     store->attach(*asrtm);
     tenant.store = std::move(store);
   }

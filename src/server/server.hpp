@@ -85,17 +85,14 @@ struct ServerOptions {
 
   // Crash safety ("" disables persistence).
   std::string checkpoint_dir;
-  std::size_t journal_capacity = 4096;  ///< events between automatic snapshots
-  std::size_t group_commit = 64;        ///< journal lines per write+flush
-  // Durable-storage resilience knobs, forwarded to every tenant's
-  // CheckpointStore (margot/checkpoint.hpp): snapshot generations kept
-  // on disk, fsync-on-commit, degraded-mode re-probe backoff, and the
-  // per-tenant journal disk quota (0 = unbounded).
-  std::size_t checkpoint_generations = 2;
-  bool checkpoint_fsync = false;
-  double checkpoint_probe_base_s = 0.05;
-  double checkpoint_probe_max_s = 2.0;
-  std::size_t checkpoint_journal_max_bytes = 0;
+  /// Every tenant's CheckpointStore options (margot/checkpoint.hpp):
+  /// snapshot cadence, group commit, generations, fsync, degraded-mode
+  /// re-probe backoff and journal quota.  The server batches harder
+  /// than an embedded store: 4096 events between automatic snapshots
+  /// and 64 journal lines per write+flush.  `generations` also sets the
+  /// knowledge pool's generation count.
+  margot::CheckpointStore::Options checkpoint{.journal_capacity = 4096,
+                                              .group_commit = 64};
 
   // Cross-tenant knowledge sharing (server/knowledge_pool.hpp;
   // docs/SERVER.md, "Cross-tenant knowledge sharing").  When enabled, a
@@ -112,7 +109,8 @@ struct ServerOptions {
   /// Reads the SOCRATES_SERVER_* knobs (docs/SERVER.md) over these
   /// defaults through support/env (clamped, warn-once):
   ///   SOCRATES_SERVER_SHARDS, _RING, _BATCH, _MAX_TENANTS,
-  ///   _GROUP_COMMIT, _JOURNAL_CAP (sizes), _POLICY
+  ///   _GROUP_COMMIT, _JOURNAL_CAP (checkpoint.group_commit and
+  ///   .journal_capacity), _POLICY
   ///   ("block" | "drop-oldest" | "reject"),
   ///   _SHARE_KNOWLEDGE ("0" disables the pool),
   ///   _POOL_DISTANCE, _POOL_PUBLISH, _POOL_REPS, _POOL_ENTRIES.

@@ -12,6 +12,7 @@
 #include "support/env.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/serialize.hpp"
 #include "support/strings.hpp"
 
 namespace socrates {
@@ -104,15 +105,13 @@ std::optional<std::string> ArtifactCache::load(std::uint64_t key,
         const std::uint64_t stored_key = std::strtoull(key_text.c_str(), &end, 16);
         const unsigned long long size = std::strtoull(size_text.c_str(), nullptr, 10);
         const std::uint64_t payload_hash = std::strtoull(hash_text.c_str(), nullptr, 16);
-        std::string payload(static_cast<std::size_t>(size), '\0');
-        in.read(payload.data(), static_cast<std::streamsize>(size));
-        if (in.gcount() == static_cast<std::streamsize>(size) && stored_key == key &&
-            stable_hash64(payload) == payload_hash) {
+        std::optional<std::string> payload = read_claimed_payload(in, size);
+        if (payload && stored_key == key && stable_hash64(*payload) == payload_hash) {
           std::lock_guard<std::mutex> lock(mu_);
-          memory_.emplace(key, payload);
+          memory_.emplace(key, *payload);
           ++stats_.disk_hits;
           MetricsRegistry::global().counter("cache.disk_hits").add(1);
-          MetricsRegistry::global().counter("cache.bytes_loaded").add(payload.size());
+          MetricsRegistry::global().counter("cache.bytes_loaded").add(payload->size());
           return payload;
         }
       }

@@ -13,6 +13,7 @@
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
+#include "support/number.hpp"
 
 namespace socrates {
 
@@ -133,60 +134,6 @@ JsonWriter& JsonWriter::value(std::string_view text) {
 
 namespace {
 
-/// Strict RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-/// scanned at `*pos` in `text`.  Rejects, with named errors, the
-/// laxities strtod/stod let through: leading '+', leading '.', hex
-/// floats, "inf"/"nan", and digit-less exponents — and, because the
-/// conversion runs through from_chars, the parse is identical under
-/// every global locale.  On success advances `*pos` past the number,
-/// stores the value and returns nullptr; on failure returns the error
-/// message and leaves `*pos` untouched.
-const char* scan_strict_number(std::string_view text, std::size_t* pos,
-                               double* value) {
-  const std::size_t start = *pos;
-  std::size_t p = start;
-  auto digit = [&](std::size_t i) {
-    return i < text.size() && text[i] >= '0' && text[i] <= '9';
-  };
-  if (p >= text.size()) return "expected a value";
-  if (text[p] == '+') return "leading '+' is not valid JSON";
-  if (text[p] == '.') return "leading '.' is not valid JSON (write 0.x)";
-  if (text[p] == '-') ++p;
-  if (p < text.size() &&
-      (text.substr(p, 3) == "inf" || text.substr(p, 3) == "nan" ||
-       text.substr(p, 3) == "Inf" || text.substr(p, 3) == "NaN"))
-    return "non-finite literals are not valid JSON";
-  if (!digit(p)) return "expected a value";
-  if (text[p] == '0') {
-    ++p;
-    if (digit(p)) return "leading zero is not valid JSON";
-    if (p < text.size() && (text[p] == 'x' || text[p] == 'X'))
-      return "hex numbers are not valid JSON";
-  } else {
-    while (digit(p)) ++p;
-  }
-  if (p < text.size() && text[p] == '.') {
-    ++p;
-    if (!digit(p)) return "expected digits after '.'";
-    while (digit(p)) ++p;
-  }
-  if (p < text.size() && (text[p] == 'e' || text[p] == 'E')) {
-    ++p;
-    if (p < text.size() && (text[p] == '+' || text[p] == '-')) ++p;
-    if (!digit(p)) return "expected digits in exponent";
-    while (digit(p)) ++p;
-  }
-  double v = 0.0;
-  const auto [end, ec] =
-      std::from_chars(text.data() + start, text.data() + p, v);
-  if (ec == std::errc::result_out_of_range || end != text.data() + p)
-    return "number out of double range";
-  if (ec != std::errc{}) return "unparsable number";
-  *pos = p;
-  *value = v;
-  return nullptr;
-}
-
 /// Minimal recursive-descent JSON reader that records numeric/boolean
 /// leaves under dotted paths.  Good enough for bench artifacts and
 /// baseline files; not a general-purpose validator.
@@ -297,7 +244,7 @@ class LeafParser {
     }
   }
 
-  /// Shared strict number grammar (scan_strict_number above); the
+  /// Shared strict number grammar (support/number.hpp); the
   /// rejected laxities get named errors so malformed artifacts fail
   /// loudly instead of parsing differently per locale.
   double parse_number() {
@@ -323,14 +270,6 @@ std::map<std::string, double> parse_numeric_leaves(std::string_view text) {
   std::map<std::string, double> out;
   LeafParser(text, out).run();
   return out;
-}
-
-std::optional<double> parse_strict_double(std::string_view text) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  if (scan_strict_number(text, &pos, &v) != nullptr || pos != text.size())
-    return std::nullopt;
-  return v;
 }
 
 std::vector<BaselineCheck> parse_baseline(std::string_view text) {

@@ -26,10 +26,13 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+// The leaf parser reads numbers with the strict grammar of
+// support/number.hpp; parse_strict_double stays reachable from here.
+#include "support/number.hpp"
 
 namespace socrates {
 
@@ -75,15 +78,6 @@ class JsonWriter {
 /// Flattens every numeric/boolean leaf of a JSON document into
 /// "a.b[0].c" -> value.  Throws socrates::Error on malformed input.
 std::map<std::string, double> parse_numeric_leaves(std::string_view text);
-
-/// Parses the whole of `text` as one strict RFC 8259 number — the same
-/// from_chars-based grammar the leaf parser uses, exposed for every
-/// other text format in the tree (chaos specs, knowledge CSV cells).
-/// Unlike std::stod this is locale-independent ("0.5" is 0.5 under a
-/// comma-decimal locale too) and rejects the strtod laxities: leading
-/// '+', leading '.', hex floats, "inf"/"nan", trailing garbage.
-/// Returns nullopt when `text` is not exactly one such number.
-std::optional<double> parse_strict_double(std::string_view text);
 
 /// One bound of a committed baseline file.
 struct BaselineCheck {

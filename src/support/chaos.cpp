@@ -6,11 +6,11 @@
 #include <thread>
 
 #include "observability/metrics.hpp"
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/number.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 

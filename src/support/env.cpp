@@ -6,8 +6,8 @@
 #include <mutex>
 #include <set>
 
-#include "support/bench_json.hpp"
 #include "support/log.hpp"
+#include "support/number.hpp"
 
 namespace socrates::env {
 

@@ -16,6 +16,7 @@
 #include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/sources.hpp"
+#include "observability/metrics.hpp"
 #include "socrates/pipeline.hpp"
 #include "support/artifact_cache.hpp"
 #include "support/error.hpp"
@@ -122,6 +123,39 @@ TEST_F(DiskCacheTest, TruncatedPayloadIsAMissAndAStoreRepairsIt) {
   const auto hit = cache.load(11, "dse-profile");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, "twelve bytes!");
+}
+
+TEST_F(DiskCacheTest, HeaderClaimingMoreBytesThanTheFileIsACorruptedMiss) {
+  // A damaged size field claims 10^15 payload bytes.  The claim is
+  // checked against the bytes left in the file before anything is
+  // allocated, so the load is a corrupted-file miss, not bad_alloc.
+  ArtifactCache cache(dir_.string());
+  cache.store(12, "dse-profile", "twelve bytes!");
+  cache.clear_memory();
+
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string magic, version, key, size, hash;
+    in >> magic >> version >> key >> size >> hash;
+    in.get();
+    const std::string payload((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    in.close();
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out << magic << ' ' << version << ' ' << key << " 1000000000000000 " << hash
+        << '\n' << payload;
+  }
+  Counter& corrupted = MetricsRegistry::global().counter("cache.corrupted_files");
+  const std::uint64_t corrupted_before = corrupted.value();
+  std::optional<std::string> loaded;
+  ASSERT_NO_THROW(loaded = cache.load(12, "dse-profile"));
+  EXPECT_FALSE(loaded.has_value());
+  EXPECT_EQ(corrupted.value(), corrupted_before + 1);
+
+  // The stage recomputes and stores again, which repairs the file.
+  cache.store(12, "dse-profile", "twelve bytes!");
+  cache.clear_memory();
+  EXPECT_EQ(cache.load(12, "dse-profile"), std::optional<std::string>("twelve bytes!"));
 }
 
 TEST_F(DiskCacheTest, LeftoverTempFilesAreHarmless) {

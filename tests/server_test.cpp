@@ -179,7 +179,7 @@ TEST_F(ServerEnvTest, DefaultsWhenUnset) {
   EXPECT_EQ(o.ring_capacity, d.ring_capacity);
   EXPECT_EQ(o.batch_drain, d.batch_drain);
   EXPECT_EQ(o.max_tenants, d.max_tenants);
-  EXPECT_EQ(o.group_commit, d.group_commit);
+  EXPECT_EQ(o.checkpoint.group_commit, d.checkpoint.group_commit);
   EXPECT_EQ(o.policy, BackpressurePolicy::kBlock);
 }
 
@@ -193,7 +193,7 @@ TEST_F(ServerEnvTest, ValidKnobsPassThrough) {
   EXPECT_EQ(o.shards, 3u);
   EXPECT_EQ(o.ring_capacity, 512u);
   EXPECT_EQ(o.batch_drain, 32u);
-  EXPECT_EQ(o.group_commit, 16u);
+  EXPECT_EQ(o.checkpoint.group_commit, 16u);
   EXPECT_EQ(o.policy, BackpressurePolicy::kDropOldest);
 }
 
@@ -206,7 +206,7 @@ TEST_F(ServerEnvTest, BadValuesClampOrFallBackInsteadOfMisparsing) {
   const ServerOptions d;
   EXPECT_EQ(o.shards, 1u);
   EXPECT_EQ(o.ring_capacity, d.ring_capacity);
-  EXPECT_EQ(o.group_commit, 1u);
+  EXPECT_EQ(o.checkpoint.group_commit, 1u);
   EXPECT_EQ(o.policy, BackpressurePolicy::kBlock);
 }
 
@@ -222,9 +222,9 @@ TEST_F(ServerEnvTest, CheckpointResilienceKnobsFlowThroughTheCheckpointEnv) {
   ::setenv("SOCRATES_CHECKPOINT_FSYNC", "1", 1);
   ::setenv("SOCRATES_CHECKPOINT_PROBE_MS", "500", 1);
   const ServerOptions o = ServerOptions::from_env();
-  EXPECT_EQ(o.checkpoint_generations, 4u);
-  EXPECT_TRUE(o.checkpoint_fsync);
-  EXPECT_DOUBLE_EQ(o.checkpoint_probe_base_s, 0.5);
+  EXPECT_EQ(o.checkpoint.generations, 4u);
+  EXPECT_TRUE(o.checkpoint.fsync_on_commit);
+  EXPECT_DOUBLE_EQ(o.checkpoint.probe_base_s, 0.5);
 }
 
 // ---- the server itself -------------------------------------------------------------
@@ -394,7 +394,7 @@ TEST_F(ServerTest, RebuildFailureQuarantinesTheTenantNotTheServer) {
   options.restart_backoff_base_s = 0.0;
   options.breaker.base_cooldown_s = 60.0;  // forced-open stays open
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 1;  // flush-per-event: the restart loses nothing
+  options.checkpoint.group_commit = 1;  // flush-per-event: the restart loses nothing
   Server server(options);
   std::atomic<double> now{0.0};
   server.set_time_source([&now] { return now.load(); });
@@ -528,7 +528,7 @@ TEST_F(ServerTest, WatchdogRestartsAStalledShardAndRecoversItsTenants) {
   options.watchdog_period_s = 0.03;
   options.restart_backoff_base_s = 0.0;
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 1;  // flush-per-event: the restart loses nothing
+  options.checkpoint.group_commit = 1;  // flush-per-event: the restart loses nothing
   Server server(options);
   Server::TenantHandle h = 0;
   ASSERT_TRUE(server.register_tenant("survivor", make_kb(), configure_min_time, &h));
@@ -565,7 +565,7 @@ TEST_F(ServerTest, WatchdogRestartsAStalledShardAndRecoversItsTenants) {
 TEST_F(ServerTest, CrashAndResumeRecoversEveryTenant) {
   ServerOptions options = base_options();
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 4;
+  options.checkpoint.group_commit = 4;
   constexpr int kTenants = 4;
   constexpr int kEventsPerTenant = 10;  // 2 committed batches + 2 buffered
   double corrections[kTenants] = {};
@@ -584,7 +584,7 @@ TEST_F(ServerTest, CrashAndResumeRecoversEveryTenant) {
     for (int t = 0; t < kTenants; ++t) {
       const auto status = server.tenant_status(static_cast<std::uint64_t>(t));
       EXPECT_EQ(status.applied, static_cast<std::uint64_t>(kEventsPerTenant));
-      EXPECT_LT(status.buffered_events, options.group_commit)
+      EXPECT_LT(status.buffered_events, options.checkpoint.group_commit)
           << "a crash may lose at most one uncommitted batch";
       server.with_tenant(static_cast<std::uint64_t>(t), [&](margot::Asrtm& asrtm) {
         corrections[t] = asrtm.correction(0);
@@ -613,7 +613,7 @@ TEST_F(ServerTest, CrashAndResumeRecoversEveryTenant) {
 TEST_F(ServerTest, CheckpointAllMakesShutdownLossless) {
   ServerOptions options = base_options();
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 64;  // large batches: everything would sit buffered
+  options.checkpoint.group_commit = 64;  // large batches: everything would sit buffered
   double correction_before = 0.0;
   {
     Server server(options);
@@ -676,7 +676,7 @@ TEST_F(ServerTest, ServerChaosShardStallRecoversThroughTheWatchdog) {
   options.watchdog_period_s = 0.03;
   options.restart_backoff_base_s = 0.0;
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 1;
+  options.checkpoint.group_commit = 1;
   Server server(options);
   Server::TenantHandle h = 0;
   ASSERT_TRUE(server.register_tenant("chaotic", make_kb(), configure_min_time, &h));
@@ -706,7 +706,7 @@ TEST_F(ServerTest, ServerChaosJournalFailLosesAtMostTheFailedBatches) {
 
   ServerOptions options = base_options();
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 4;
+  options.checkpoint.group_commit = 4;
   constexpr std::uint64_t kEvents = 40;
   {
     Server server(options);
@@ -735,9 +735,9 @@ TEST_F(ServerTest, ServerChaosDiskFullDegradesThenRecoversDurability) {
   ServerOptions options = base_options();
   options.shards = 1;
   options.checkpoint_dir = (dir_ / "ckpt").string();
-  options.group_commit = 1;  // every drained event commits immediately
-  options.checkpoint_probe_base_s = 0.01;
-  options.checkpoint_probe_max_s = 0.05;
+  options.checkpoint.group_commit = 1;  // every drained event commits immediately
+  options.checkpoint.probe_base_s = 0.01;
+  options.checkpoint.probe_max_s = 0.05;
   Server server(options);
   Server::TenantHandle h = 0;
   ASSERT_TRUE(server.register_tenant("enospc", make_kb(), configure_min_time, &h));
