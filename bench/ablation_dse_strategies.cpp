@@ -1,10 +1,11 @@
 // Ablation: pluggable DSE strategies (Section III: "our approach is
 // agnostic with respect to the used DSE strategy").
 //
-// Three questions, answered per Polybench kernel against the 512-point
-// full factorial profiled through the pipeline:
+// The model-guided two-stage search (seed -> polish) against the
+// paper's 512-point full factorial profiled through the pipeline, three
+// questions per Polybench kernel:
 //
-//   1. Budget: how many design points does each Explorer evaluate?
+//   1. Budget: how many design points does the two-stage search evaluate?
 //   2. Front quality: the 2D hypervolume (throughput up, power down) at
 //      a shared reference point.  Raw ratio = explored front vs the
 //      512-point measured front (informational: a subset's front is
@@ -139,18 +140,15 @@ int main(int argc, char** argv) {
        ++ci)
     two_params.seed_configs.push_back(ci);
   const dse::TwoStageExplorer two_stage(two_params);
-  const dse::StratifiedExplorer stratified(6);
-  const dse::RandomSubsetExplorer subset(0.25);
 
   const std::vector<const char*> all = {"2mm",      "atax",   "jacobi-2d",
                                         "nussinov", "gemver", "syrk"};
   const std::vector<const char*> benchmarks(all.begin(),
                                             quick ? all.begin() + 2 : all.end());
 
-  TextTable table({"Benchmark", "pts full/2stage/strat/sub", "hv 2stage",
-                   "hv pruned", "hv true", "hv strat", "hv sub", "regret 2stage",
-                   "clones"});
-  StrategyStats two_stats, strat_stats, sub_stats;
+  TextTable table({"Benchmark", "pts full/2stage", "hv 2stage", "hv pruned",
+                   "hv true", "regret 2stage", "clones"});
+  StrategyStats two_stats;
   double pruned_ratio_min = 2.0, true_ratio_min = 2.0;
   std::size_t clone_set_max = 0, representatives_max = 0;
   std::vector<double> two_regrets;
@@ -172,8 +170,6 @@ int main(int argc, char** argv) {
     const auto full = pipeline.profile_space(name, space, kRepetitions, kSeed);
     dse::ExploreContext ctx{model, kernel, space, kRepetitions, kSeed, 1.0, &pool, 1};
     const auto two = two_stage.explore(ctx);
-    const auto strat = stratified.explore(ctx);
-    const auto sub = subset.explore(ctx);
 
     // Shared hypervolume reference: slightly worse than the worst
     // measured power, so every front point contributes area.
@@ -181,12 +177,7 @@ int main(int argc, char** argv) {
     for (const auto& p : full) ref_power = std::max(ref_power, p.power_mean_w);
     ref_power *= 1.05;
     const double hv_full = dse::pareto_hypervolume(full, ref_power);
-    const auto hv_ratio = [&](const std::vector<dse::ProfiledPoint>& pts) {
-      return dse::pareto_hypervolume(pts, ref_power) / hv_full;
-    };
-    const double hv_two = hv_ratio(two.points);
-    const double hv_strat = hv_ratio(strat.points);
-    const double hv_sub = hv_ratio(sub.points);
+    const double hv_two = dse::pareto_hypervolume(two.points, ref_power) / hv_full;
 
     // The gated front comparison: both strategies pruned to the same
     // K representatives — the clone set each would actually deploy.
@@ -204,7 +195,6 @@ int main(int argc, char** argv) {
             true_values(model, kernel, subset_of(full, full_reps.representatives)),
             ref_power);
 
-
     // Decision regret of the (pruned) two-stage knowledge base.
     const auto clones = dse::clone_pairs(two.points, reps.representatives);
     const auto t_full = sweep_choices(model, kernel, space, dse::to_knowledge_base(full));
@@ -215,8 +205,6 @@ int main(int argc, char** argv) {
     two_stats.fold(two.evaluated, hv_two, regret_two);
     pruned_ratio_min = std::min(pruned_ratio_min, pruned_ratio);
     true_ratio_min = std::min(true_ratio_min, true_ratio);
-    strat_stats.fold(strat.evaluated, hv_strat, 0.0);
-    sub_stats.fold(sub.evaluated, hv_sub, 0.0);
     clone_set_max = std::max(clone_set_max, clones.size());
     representatives_max = std::max(representatives_max, reps.representatives.size());
     two_regrets.push_back(regret_two);
@@ -224,23 +212,17 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.kv("name", name);
     json.kv("two_stage_evaluated", static_cast<std::uint64_t>(two.evaluated));
-    json.kv("two_stage_generations", static_cast<std::uint64_t>(two.generations));
     json.kv("two_stage_hv_ratio", hv_two);
     json.kv("two_stage_pruned_hv_ratio", pruned_ratio);
     json.kv("two_stage_true_hv_ratio", true_ratio);
     json.kv("two_stage_regret", regret_two);
-    json.kv("stratified_hv_ratio", hv_strat);
-    json.kv("subset_hv_ratio", hv_sub);
     json.kv("clone_set", static_cast<std::uint64_t>(clones.size()));
     json.end_object();
 
     table.add_row({name,
-                   std::to_string(full.size()) + "/" + std::to_string(two.evaluated) +
-                       "/" + std::to_string(strat.evaluated) + "/" +
-                       std::to_string(sub.evaluated),
+                   std::to_string(full.size()) + "/" + std::to_string(two.evaluated),
                    format_double(hv_two, 4), format_double(pruned_ratio, 4),
-                   format_double(true_ratio, 4), format_double(hv_strat, 4),
-                   format_double(hv_sub, 4),
+                   format_double(true_ratio, 4),
                    format_double(100.0 * regret_two, 1) + "%",
                    std::to_string(clones.size()) + "/16"});
   }
@@ -260,23 +242,13 @@ int main(int argc, char** argv) {
   json.kv("representatives_max", static_cast<std::uint64_t>(representatives_max));
   json.kv("full_clone_set", 16);
   json.end_object();
-  json.key("stratified");
-  json.begin_object();
-  json.kv("evaluated_max", static_cast<std::uint64_t>(strat_stats.evaluated_max));
-  json.kv("hv_ratio_min", strat_stats.hv_ratio_min);
-  json.end_object();
-  json.key("subset25");
-  json.begin_object();
-  json.kv("evaluated_max", static_cast<std::uint64_t>(sub_stats.evaluated_max));
-  json.kv("hv_ratio_min", sub_stats.hv_ratio_min);
-  json.end_object();
   json.end_object();
   write_bench_json("dse", json.str());
 
   std::fputs(table.str().c_str(), stdout);
   std::printf("\nTwo-stage: <= %zu of %zu points (%.1fx fewer); pruned deployment"
               " hypervolume >= %.4fx\nthe full-factorial deployment's at true metrics"
-              " (measured: >= %.4fx, raw subset: >= %.4fx);\nmean pruned regret"
+              " (measured: >= %.4fx, raw front: >= %.4fx);\nmean pruned regret"
               " %+.1f%%, clone set <= %zu of 16.\n",
               two_stats.evaluated_max, space.size(), reduction_min, true_ratio_min,
               pruned_ratio_min, two_stats.hv_ratio_min, 100.0 * mean_of(two_regrets),

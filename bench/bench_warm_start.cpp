@@ -270,8 +270,6 @@ int main(int argc, char** argv) {
                                 &pool, 1};
   dse::TwoStageExplorer::Params donor_params;
   donor_params.budget = 64;
-  donor_params.population = 8;
-  donor_params.generations = 8;
   donor_params.seed_configs = seed_configs;
   const auto donor_result = dse::TwoStageExplorer(donor_params).explore(donor_ctx);
 
@@ -291,8 +289,6 @@ int main(int argc, char** argv) {
                           &pool, 1};
   dse::TwoStageExplorer::Params cold_params;
   cold_params.budget = 24;
-  cold_params.population = 8;
-  cold_params.generations = 4;
   cold_params.seed_configs = seed_configs;
   dse::TwoStageExplorer::Params warm_params = cold_params;
   warm_params.warm_flat_seeds = warm_seeds;

@@ -66,12 +66,14 @@ set_tests_properties(margot_overhead_bench_baseline_rejects_doctored PROPERTIES
   LABELS "bench;smoke"
   WILL_FAIL TRUE)
 
-# The DSE-strategy pin (quick mode for CTest): two-stage seeded+genetic
+# The DSE-strategy pin (quick mode for CTest): two-stage seed -> polish
 # exploration on a two-kernel subset at the default (tiny) budget, with
 # the bench's built-in assertions — >= 10x fewer evaluations than the
 # full factorial at an undiminished Pareto hypervolume, pruned clone set
 # below the 16-clone cross product — and the BENCH_dse.json artifact
-# gated by the committed bounds.
+# gated by the committed bounds.  The third test feeds the checker a
+# doctored artifact whose pruned true-metric hypervolume falls below the
+# full factorial's; it must fail, which shows that the gate can fail.
 add_test(NAME dse_bench_smoke
   COMMAND ablation_dse_strategies --quick)
 set_tests_properties(dse_bench_smoke PROPERTIES
@@ -88,6 +90,13 @@ add_test(NAME dse_bench_baseline
 set_tests_properties(dse_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_dse_json)
+add_test(NAME dse_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/dse.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/dse_doctored.json)
+set_tests_properties(dse_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
 
 # The Figure 4 pin: the 2mm power-budget sweep writes the DESIGN.md
 # section 6 shape to BENCH_fig4.json — the chosen time never rises with
@@ -190,6 +199,9 @@ set_tests_properties(feedback_adaptation_bench_baseline PROPERTIES
 # sharing-off runs bit-identical to the pre-pool behaviour, and the
 # warm-seeded DSE at least matching the cold search at an equal budget
 # — the BENCH_warm_start.json artifact gated by the committed bounds.
+# The third test feeds the checker a doctored artifact whose warm-seeded
+# DSE loses to the cold one; it must fail, which shows that the gate can
+# fail.
 add_test(NAME warm_start_bench_smoke
   COMMAND bench_warm_start --quick)
 set_tests_properties(warm_start_bench_smoke PROPERTIES
@@ -206,6 +218,13 @@ add_test(NAME warm_start_bench_baseline
 set_tests_properties(warm_start_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_warm_start_json)
+add_test(NAME warm_start_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/warm_start.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/warm_start_doctored.json)
+set_tests_properties(warm_start_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
 
 # The multi-tenant server pin (quick mode for CTest): clean / overload /
 # chaos regimes, kill-and-resume exactness, BENCH_server.json artifact

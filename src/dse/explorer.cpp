@@ -1,10 +1,7 @@
 #include "dse/explorer.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <numeric>
-#include <set>
 
 #include "observability/metrics.hpp"
 #include "observability/trace.hpp"
@@ -109,53 +106,6 @@ ExploreResult profile_points(const ExploreContext& ctx,
   return out;
 }
 
-namespace {
-
-/// The flat indices of a random subset, sorted ascending (deterministic
-/// profiling order, independent of the job count).
-std::vector<std::size_t> subset_indices(const DesignSpace& space, double fraction,
-                                        std::uint64_t seed) {
-  const std::size_t total = space.size();
-  const auto budget = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(total))));
-  Rng rng(seed);
-  std::vector<std::size_t> indices(total);
-  for (std::size_t i = 0; i < total; ++i) indices[i] = i;
-  rng.shuffle(indices);
-  indices.resize(budget);
-  std::sort(indices.begin(), indices.end());
-  return indices;
-}
-
-/// Stratum order mirrors the historical serial loop: config-major, then
-/// binding, then a geometric thread ladder anchored at both extremes.
-std::vector<std::size_t> stratified_indices(const DesignSpace& space,
-                                            std::size_t threads_per_stratum) {
-  const std::size_t n_threads = space.thread_counts.size();
-  std::set<std::size_t> picked_indices = {0, n_threads - 1};
-  const double steps = static_cast<double>(threads_per_stratum - 1);
-  for (std::size_t s = 1; s + 1 < threads_per_stratum; ++s) {
-    const double t = static_cast<double>(s) / steps;
-    const double geo = std::pow(static_cast<double>(n_threads), t);
-    const auto idx =
-        std::min(n_threads - 1, static_cast<std::size_t>(std::lround(geo)) - 1);
-    picked_indices.insert(idx);
-  }
-
-  const std::size_t n_bindings = space.bindings.size();
-  std::vector<std::size_t> flat_indices;
-  flat_indices.reserve(space.configs.size() * n_bindings * picked_indices.size());
-  for (std::size_t ci = 0; ci < space.configs.size(); ++ci) {
-    for (std::size_t bi = 0; bi < n_bindings; ++bi) {
-      for (const std::size_t ti : picked_indices)
-        flat_indices.push_back((ci * n_threads + ti) * n_bindings + bi);
-    }
-  }
-  return flat_indices;
-}
-
-}  // namespace
-
 // ---- FullFactorialExplorer -------------------------------------------------
 
 ExploreResult FullFactorialExplorer::explore(const ExploreContext& ctx) const {
@@ -166,63 +116,13 @@ ExploreResult FullFactorialExplorer::explore(const ExploreContext& ctx) const {
 
 void FullFactorialExplorer::add_to_key(Hasher& h) const { h.add("dse-full"); }
 
-// ---- RandomSubsetExplorer --------------------------------------------------
-
-RandomSubsetExplorer::RandomSubsetExplorer(double fraction) : fraction_(fraction) {
-  SOCRATES_REQUIRE_MSG(std::isfinite(fraction) && fraction > 0.0 && fraction <= 1.0,
-                       "random-subset fraction must lie in (0, 1], got "
-                           << fraction
-                           << " — a zero/negative fraction profiles nothing and "
-                              "> 1 cannot draw without replacement");
-}
-
-ExploreResult RandomSubsetExplorer::explore(const ExploreContext& ctx) const {
-  return profile_points(ctx, subset_indices(ctx.space, fraction_, ctx.seed));
-}
-
-void RandomSubsetExplorer::add_to_key(Hasher& h) const {
-  h.add("dse-subset");
-  h.add(fraction_);
-}
-
-// ---- StratifiedExplorer ----------------------------------------------------
-
-StratifiedExplorer::StratifiedExplorer(std::size_t threads_per_stratum)
-    : threads_per_stratum_(threads_per_stratum) {
-  SOCRATES_REQUIRE_MSG(threads_per_stratum >= 2,
-                       "stratified ladder needs >= 2 thread counts (got "
-                           << threads_per_stratum
-                           << ") — both extremes must be anchored");
-}
-
-ExploreResult StratifiedExplorer::explore(const ExploreContext& ctx) const {
-  SOCRATES_REQUIRE(!ctx.space.thread_counts.empty());
-  return profile_points(ctx, stratified_indices(ctx.space, threads_per_stratum_));
-}
-
-void StratifiedExplorer::add_to_key(Hasher& h) const {
-  h.add("dse-stratified");
-  h.add(static_cast<std::uint64_t>(threads_per_stratum_));
-}
-
 // ---- strategy selection ----------------------------------------------------
 
 DseStrategyOptions DseStrategyOptions::from_env() {
   DseStrategyOptions o;
-  const std::string kind = env::choice_or(
-      "SOCRATES_DSE", "full", {"full", "subset", "stratified", "two-stage"});
-  if (kind == "subset") {
-    o.kind = Kind::kSubset;
-  } else if (kind == "stratified") {
-    o.kind = Kind::kStratified;
-  } else if (kind == "two-stage") {
+  if (env::choice_or("SOCRATES_DSE", "full", {"full", "two-stage"}) == "two-stage")
     o.kind = Kind::kTwoStage;
-  }
-  o.subset_fraction = env::real_or("SOCRATES_DSE_FRACTION", 0.25, 1e-6, 1.0);
-  o.stratified_threads = env::size_or("SOCRATES_DSE_STRATA", 6, 2, 1024);
   o.budget = env::size_or("SOCRATES_DSE_BUDGET", 0, 0, 1u << 20);
-  o.population = env::size_or("SOCRATES_DSE_POP", 12, 2, 4096);
-  o.generations = env::size_or("SOCRATES_DSE_GENS", 24, 1, 4096);
   o.max_representatives = env::size_or("SOCRATES_DSE_PRUNE", 0, 0, 4096);
   return o;
 }

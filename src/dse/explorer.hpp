@@ -2,11 +2,10 @@
 //
 // The paper profiles the full factorial space but stresses that the
 // approach "is agnostic with respect to the used DSE strategy".  This
-// layer makes that agnosticism structural: every way of exploring a
-// DesignSpace — the full sweep, random subsets, stratified ladders and
-// the model-guided two-stage search of two_stage.hpp — implements the
-// same Explorer interface, and socrates::Pipeline selects one through
-// the SOCRATES_DSE environment knob (see DseStrategyOptions::from_env).
+// layer makes that agnosticism structural: the full sweep and the
+// model-guided two-stage search of two_stage.hpp implement the same
+// Explorer interface, and socrates::Pipeline selects one through the
+// SOCRATES_DSE environment knob (see DseStrategyOptions::from_env).
 // A strategy only chooses *which* points to measure: each one hands
 // its flat indices to profile_points(), the one per-point loop.
 //
@@ -15,9 +14,10 @@
 // space, and its measurement noise always comes from the RNG stream
 // (seed, flat index).  Any point profiled by any strategy is therefore
 // bit-identical to the same point profiled by the full sweep — at any
-// SOCRATES_JOBS, in any profiling order.  Strategy-internal decisions
-// (subset draws, genetic operators) run on their own serial streams, so
-// the *choice* of points is deterministic too.
+// SOCRATES_JOBS, in any profiling order.  The two-stage search draws
+// from no RNG stream of its own: its seeds come from the noise-free
+// model and its polish from the measured front, so the *choice* of
+// points is deterministic too.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +52,6 @@ struct ExploreResult {
   std::size_t evaluated = 0;    ///< unique design points profiled (incl. dropped)
   std::size_t dropped = 0;      ///< points lost after all attempts (chaos/faults)
   std::size_t retries = 0;      ///< extra per-point attempts that were needed
-  std::size_t generations = 0;  ///< two-stage only: GA generations run
 };
 
 /// One DSE strategy.  Implementations are immutable after construction
@@ -62,7 +61,7 @@ class Explorer {
  public:
   virtual ~Explorer();
 
-  /// Stable strategy name ("full", "subset", "stratified", "two-stage")
+  /// Stable strategy name ("full", "two-stage")
   /// — used in logs, stage notes and metrics labels.
   virtual std::string_view name() const = 0;
 
@@ -85,64 +84,26 @@ class FullFactorialExplorer final : public Explorer {
   void add_to_key(Hasher& h) const override;
 };
 
-/// Uniformly random subset of the space, without replacement.
-/// `fraction` must lie in (0, 1]; at least one point is profiled.
-class RandomSubsetExplorer final : public Explorer {
- public:
-  explicit RandomSubsetExplorer(double fraction);
-
-  std::string_view name() const override { return "subset"; }
-  ExploreResult explore(const ExploreContext& ctx) const override;
-  void add_to_key(Hasher& h) const override;
-
-  double fraction() const { return fraction_; }
-
- private:
-  double fraction_;
-};
-
-/// Every (config, binding) stratum profiled at `threads_per_stratum`
-/// thread counts: the extremes plus geometrically spaced interior
-/// points (anchors the AS-RTM falls back to are always present).
-class StratifiedExplorer final : public Explorer {
- public:
-  explicit StratifiedExplorer(std::size_t threads_per_stratum);
-
-  std::string_view name() const override { return "stratified"; }
-  ExploreResult explore(const ExploreContext& ctx) const override;
-  void add_to_key(Hasher& h) const override;
-
-  std::size_t threads_per_stratum() const { return threads_per_stratum_; }
-
- private:
-  std::size_t threads_per_stratum_;
-};
-
-/// Which strategy the Pipeline runs, plus every budget knob.  Defaults
+/// Which strategy the Pipeline runs, plus its budget knobs.  Defaults
 /// reproduce the paper (full factorial, no pruning); from_env() reads
 /// the SOCRATES_DSE* family documented in docs/DSE.md.
 struct DseStrategyOptions {
-  enum class Kind { kFull, kSubset, kStratified, kTwoStage };
+  enum class Kind { kFull, kTwoStage };
 
   Kind kind = Kind::kFull;
-  double subset_fraction = 0.25;       ///< subset: share of the space
-  std::size_t stratified_threads = 6;  ///< stratified: ladder size
-  std::size_t budget = 0;              ///< two-stage: max profiled points (0 = auto)
-  std::size_t population = 12;         ///< two-stage: GA children per generation
-  std::size_t generations = 24;        ///< two-stage: GA generation cap
+  std::size_t budget = 0;  ///< two-stage: max profiled points (0 = auto)
   /// Prune the knowledge base / clone set to at most this many
   /// representative configurations (0 = keep everything).
   std::size_t max_representatives = 0;
 
-  /// SOCRATES_DSE (full|subset|stratified|two-stage) and the
-  /// SOCRATES_DSE_{FRACTION,STRATA,BUDGET,POP,GENS,PRUNE} knobs, each
-  /// hardened through support/env (clamp + warn once).
+  /// SOCRATES_DSE (full|two-stage) and the SOCRATES_DSE_{BUDGET,PRUNE}
+  /// knobs, each hardened through support/env (clamp + warn once).
   static DseStrategyOptions from_env();
 };
 
 /// Builds the configured strategy.  `seed_configs` (config indices of
 /// the space, e.g. the COBAYN-predicted CFs) bias the two-stage seeding
-/// stage; other strategies ignore them.
+/// stage; the full sweep ignores them.
 std::unique_ptr<Explorer> make_explorer(const DseStrategyOptions& options,
                                         std::vector<std::size_t> seed_configs = {});
 
@@ -165,6 +126,8 @@ struct FlatPoint {
   std::size_t binding = 0;  ///< index into space.bindings
 };
 
+/// The only code that knows the flat layout: config-major, then thread
+/// count, then binding — the full sweep's enumeration order.
 FlatPoint decompose_flat(const DesignSpace& space, std::size_t flat);
 std::size_t compose_flat(const DesignSpace& space, const FlatPoint& p);
 

@@ -8,45 +8,33 @@
 #include "dse/representative.hpp"
 #include "observability/metrics.hpp"
 #include "observability/trace.hpp"
-#include "support/chaos.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
-#include "support/rng.hpp"
 
 namespace socrates::dse {
 
 namespace {
 
-/// Domain separator of the GA decision stream — keeps it disjoint from
-/// the per-point noise streams (seed, flat) and the chaos schedules.
-constexpr std::uint64_t kGaStreamTag = 0x9a5eedU;
+/// Points the seeding stage takes from the surrogate Pareto front
+/// (a hypervolume-greedy spread, like the Prune stage's).
+constexpr std::size_t kSurrogateSpread = 12;
 
-bool dominates(const ProfiledPoint& a, const ProfiledPoint& b) {
-  const bool ge = a.throughput() >= b.throughput() && a.power_mean_w <= b.power_mean_w;
-  const bool gt = a.throughput() > b.throughput() || a.power_mean_w < b.power_mean_w;
-  return ge && gt;
-}
+/// Floor of the auto budget (larger spaces get space / 11), so a small
+/// space still profiles the extreme slices and the surrogate spread
+/// (2 x 6 + 12 seeds).
+constexpr std::size_t kMinAutoBudget = 24;
 
-/// Scalar tie-break fitness when neither tournament entrant dominates:
-/// energy efficiency (throughput per watt), the paper's figure of merit.
+/// Energy efficiency (throughput per watt), the paper's figure of
+/// merit — what a seed config's efficiency champion maximises.
 double efficiency(const ProfiledPoint& p) {
   return p.power_mean_w > 0.0 ? p.throughput() / p.power_mean_w : p.throughput();
 }
 
 }  // namespace
 
-TwoStageExplorer::TwoStageExplorer(Params params) : params_(std::move(params)) {
-  SOCRATES_REQUIRE_MSG(params_.population >= 2,
-                       "two-stage population must be >= 2 (got "
-                           << params_.population << ") — crossover needs two parents");
-  SOCRATES_REQUIRE_MSG(params_.generations >= 1,
-                       "two-stage generation cap must be >= 1");
-}
-
 std::size_t TwoStageExplorer::resolved_budget(std::size_t space_size) const {
   const std::size_t wanted =
-      params_.budget != 0 ? params_.budget
-                          : std::max(2 * params_.population, space_size / 11);
+      params_.budget != 0 ? params_.budget : std::max(kMinAutoBudget, space_size / 11);
   return std::max<std::size_t>(1, std::min(wanted, space_size));
 }
 
@@ -66,7 +54,6 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   const std::size_t total = space.size();
   const std::size_t n_threads = space.thread_counts.size();
   const std::size_t budget = resolved_budget(total);
-  ChaosEngine& chaos = ChaosEngine::global();
 
   // The profiled archive, keyed by flat index (ordered: the final
   // profile comes out in ascending flat order, like the full sweep).
@@ -78,14 +65,12 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
 
   // Profiles a candidate batch under the budget: dedups against every
   // earlier attempt (first occurrence wins, so callers order candidates
-  // by priority) and truncates to the remaining budget minus `reserve`
-  // (budget held back for a later stage).  The candidate list is a
-  // deterministic function of the archive, so the truncation point is
-  // identical at any job count.  Returns how many candidates actually
-  // went to the profiler.
-  const auto profile_batch = [&](std::vector<std::size_t> flats,
-                                 std::size_t reserve = 0) -> std::size_t {
-    const std::size_t cap = remaining() > reserve ? remaining() - reserve : 0;
+  // by priority) and truncates to the remaining budget.  The candidate
+  // list is a deterministic function of the archive, so the truncation
+  // point is identical at any job count.  Returns how many candidates
+  // actually went to the profiler.
+  const auto profile_batch = [&](std::vector<std::size_t> flats) -> std::size_t {
+    const std::size_t cap = remaining();
     std::vector<std::size_t> fresh;
     fresh.reserve(flats.size());
     std::set<std::size_t> in_batch;
@@ -134,7 +119,7 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   // The noise-free surrogate predicts where the measured front will be.
   // Its Pareto front is far too large to profile whole (most thread
   // counts of the best configs are model-optimal), so the profiled
-  // population is, in priority order: the extremal candidates (the
+  // seeds are, in priority order: the extremal candidates (the
   // measured global-fastest / global-cheapest point is, up to noise,
   // among the surrogate's top few), a farthest-point spread of the
   // surrogate front (select_representatives, the same clustering the
@@ -186,103 +171,29 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   sur_front_pts.reserve(sur_front.size());
   for (const std::size_t f : sur_front) sur_front_pts.push_back(surrogate[f]);
   for (const std::size_t i :
-       select_representatives(sur_front_pts, params_.population).representatives)
+       select_representatives(sur_front_pts, kSurrogateSpread).representatives)
     seeds.push_back(sur_front[i]);
   for (const std::size_t ci : params_.seed_configs) {
     // Champions of the COBAYN-predicted config: best throughput and
-    // best efficiency across its (threads x binding) slice.
-    std::size_t best_thr = ci * n_threads * space.bindings.size();
+    // best efficiency across its (threads x binding) slice, walked in
+    // flat order so ties go to the lower index.
+    std::size_t best_thr = detail::compose_flat(space, {ci, 0, 0});
     std::size_t best_eff = best_thr;
-    for (std::size_t k = 0; k < n_threads * space.bindings.size(); ++k) {
-      const std::size_t flat = ci * n_threads * space.bindings.size() + k;
-      if (surrogate[flat].throughput() > surrogate[best_thr].throughput())
-        best_thr = flat;
-      if (efficiency(surrogate[flat]) > efficiency(surrogate[best_eff]))
-        best_eff = flat;
+    for (std::size_t ti = 0; ti < n_threads; ++ti) {
+      for (std::size_t bi = 0; bi < space.bindings.size(); ++bi) {
+        const std::size_t flat = detail::compose_flat(space, {ci, ti, bi});
+        if (surrogate[flat].throughput() > surrogate[best_thr].throughput())
+          best_thr = flat;
+        if (efficiency(surrogate[flat]) > efficiency(surrogate[best_eff]))
+          best_eff = flat;
+      }
     }
     seeds.push_back(best_thr);
     seeds.push_back(best_eff);
   }
   profile_batch(std::move(seeds));
 
-  // Half of what is left after seeding is reserved for the polish
-  // stage: refining the measured front's neighbourhood recovers more
-  // front than another genetic round does.
-  const std::size_t polish_reserve = remaining() / 2;
-
-  // ---- Stage 2: generational genetic refinement ---------------------------
-  Rng ga(derive_stream(hash_combine(ctx.seed, kGaStreamTag), 0));
-  static Counter& ga_generations =
-      MetricsRegistry::global().counter("dse.ga_generations");
-  static Counter& explore_faults =
-      MetricsRegistry::global().counter("dse.explore_faults");
-
-  // Tournament of two over the archive: dominance first, efficiency as
-  // the tie-break.  The archive is iterated as a vector so uniform_int
-  // indexes it deterministically.
-  std::vector<std::size_t> pool_flats;
-  const auto tournament = [&]() -> std::size_t {
-    const auto pick = [&] {
-      return pool_flats[static_cast<std::size_t>(
-          ga.uniform_int(0, static_cast<std::int64_t>(pool_flats.size()) - 1))];
-    };
-    const std::size_t a = pick();
-    const std::size_t b = pick();
-    const ProfiledPoint& pa = archive.at(a);
-    const ProfiledPoint& pb = archive.at(b);
-    if (dominates(pa, pb)) return a;
-    if (dominates(pb, pa)) return b;
-    return efficiency(pa) >= efficiency(pb) ? a : b;
-  };
-
-  for (std::size_t gen = 0; gen < params_.generations; ++gen) {
-    if (remaining() <= polish_reserve || archive.empty()) break;
-    if (chaos.enabled() &&
-        chaos.fire_indexed("dse.explore", gen, chaos.spec().dse_explore,
-                           "chaos.explore_faults")) {
-      // A voided generation: the round's proposals are lost and the
-      // search degrades to fewer refinement rounds — never a corrupted
-      // archive (profiled points are immutable once measured).
-      explore_faults.add(1);
-      ++result.generations;
-      continue;
-    }
-
-    pool_flats.clear();
-    for (const auto& [flat, point] : archive) pool_flats.push_back(flat);
-
-    std::set<std::size_t> children;
-    const std::size_t max_draws = 20 * params_.population;
-    for (std::size_t draw = 0;
-         draw < max_draws && children.size() < params_.population; ++draw) {
-      auto a = detail::decompose_flat(space, tournament());
-      const auto b = detail::decompose_flat(space, tournament());
-      // Uniform per-knob crossover, then mutation per knob.
-      detail::FlatPoint child;
-      child.config = ga.uniform() < 0.5 ? a.config : b.config;
-      child.thread = ga.uniform() < 0.5 ? a.thread : b.thread;
-      child.binding = ga.uniform() < 0.5 ? a.binding : b.binding;
-      if (ga.uniform() < 0.5) {
-        const auto step = ga.uniform_int(-2, 2);
-        const auto t = static_cast<std::int64_t>(child.thread) + step;
-        child.thread = static_cast<std::size_t>(
-            std::clamp<std::int64_t>(t, 0, static_cast<std::int64_t>(n_threads) - 1));
-      }
-      if (ga.uniform() < 0.15)
-        child.config = static_cast<std::size_t>(
-            ga.uniform_int(0, static_cast<std::int64_t>(space.configs.size()) - 1));
-      if (ga.uniform() < 0.15 && space.bindings.size() > 1)
-        child.binding = child.binding == 0 ? 1 : 0;
-      const std::size_t flat = detail::compose_flat(space, child);
-      if (attempted.count(flat) == 0) children.insert(flat);
-    }
-    if (children.empty()) break;  // the front's neighbourhood is exhausted
-    profile_batch({children.begin(), children.end()}, polish_reserve);
-    ++result.generations;
-    ga_generations.add(1);
-  }
-
-  // ---- Stage 3: neighbourhood polish --------------------------------------
+  // ---- Stage 2: neighbourhood polish --------------------------------------
   //
   // Measurement noise wobbles front membership around the surrogate's
   // prediction; profiling every unexplored knob-space neighbour of the
@@ -321,8 +232,6 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
 void TwoStageExplorer::add_to_key(Hasher& h) const {
   h.add("dse-two-stage");
   h.add(static_cast<std::uint64_t>(params_.budget));
-  h.add(static_cast<std::uint64_t>(params_.population));
-  h.add(static_cast<std::uint64_t>(params_.generations));
   h.add(static_cast<std::uint64_t>(params_.seed_configs.size()));
   for (const std::size_t ci : params_.seed_configs)
     h.add(static_cast<std::uint64_t>(ci));
@@ -336,23 +245,12 @@ void TwoStageExplorer::add_to_key(Hasher& h) const {
 // place that must know every concrete strategy.
 std::unique_ptr<Explorer> make_explorer(const DseStrategyOptions& options,
                                         std::vector<std::size_t> seed_configs) {
-  switch (options.kind) {
-    case DseStrategyOptions::Kind::kSubset:
-      return std::make_unique<RandomSubsetExplorer>(options.subset_fraction);
-    case DseStrategyOptions::Kind::kStratified:
-      return std::make_unique<StratifiedExplorer>(options.stratified_threads);
-    case DseStrategyOptions::Kind::kTwoStage: {
-      TwoStageExplorer::Params params;
-      params.budget = options.budget;
-      params.population = options.population;
-      params.generations = options.generations;
-      params.seed_configs = std::move(seed_configs);
-      return std::make_unique<TwoStageExplorer>(std::move(params));
-    }
-    case DseStrategyOptions::Kind::kFull:
-      break;
-  }
-  return std::make_unique<FullFactorialExplorer>();
+  if (options.kind == DseStrategyOptions::Kind::kFull)
+    return std::make_unique<FullFactorialExplorer>();
+  TwoStageExplorer::Params params;
+  params.budget = options.budget;
+  params.seed_configs = std::move(seed_configs);
+  return std::make_unique<TwoStageExplorer>(std::move(params));
 }
 
 }  // namespace socrates::dse

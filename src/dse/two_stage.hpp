@@ -2,42 +2,40 @@
 //
 // Ports the Odyssey idea (SNIPPETS #2/#3) to the SOCRATES toolchain: a
 // *cheap* first stage queries the analytical platform::PerformanceModel
-// (noise-free, no profiling budget spent) to seed the search with the
+// (noise-free; the queries spend no profiling budget) and profiles the
 // model-predicted Pareto front plus the COBAYN-predicted compiler
-// configurations, and an *expensive* second stage refines those seeds
-// with deterministic generational genetic search — tournament
-// selection over the profiled archive, per-knob crossover and mutation
-// — followed by a neighbourhood polish around the profiled front.
-// Only the second stage consumes the profiling budget, so the explorer
-// reaches the full-factorial front at a fraction of the evaluations
-// (bench/ablation_dse_strategies pins the ratio).
+// configurations as seeds; a second stage polishes the measured front,
+// profiling the knob-space neighbours of the front — walked in Luo et
+// al.'s representative order — until a fixpoint or the budget runs
+// out.  The explorer thus reaches the full-factorial front at a
+// fraction of the evaluations (bench/ablation_dse_strategies pins the
+// ratio).
 //
 // Determinism: every profiled point draws its noise from the stream
 // (seed, flat index) — bit-identical to the full sweep at any
-// SOCRATES_JOBS (explorer.hpp's contract) — and every GA decision runs
-// on one serial RNG stream derived from the seed, so the *set* of
-// explored points is reproducible too.  The chaos site "dse.explore"
-// (probability `dse-explore` of SOCRATES_CHAOS) can void a generation's
-// proposals: the explorer degrades to fewer search rounds instead of
-// aborting, and per-point faults are absorbed by the "dse.point" site.
+// SOCRATES_JOBS (explorer.hpp's contract).  Seed → polish draws from no
+// RNG stream of its own: the seeds are a function of the noise-free
+// model and the polish a function of the measured archive, so the *set*
+// of explored points is reproducible too.  Per-point faults are
+// absorbed by the "dse.point" chaos site; a dropped point only shrinks
+// the archive the polish walks.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "dse/explorer.hpp"
 
 namespace socrates::dse {
 
-/// Seeded + genetic search over a DesignSpace.
+/// Model-seeded search with a front polish over a DesignSpace.
 class TwoStageExplorer final : public Explorer {
  public:
   struct Params {
     /// Max design points profiled, dropped points included.  0 = auto:
-    /// max(2 * population, space / 11), never more than the space.
+    /// max(24, space / 11), never more than the space.
     std::size_t budget = 0;
-    std::size_t population = 12;   ///< GA children proposed per generation
-    std::size_t generations = 24;  ///< GA generation cap
     /// Config indices (into DesignSpace::configs) favoured by the
     /// model-seeding stage — the COBAYN-predicted CFs in the pipeline.
     std::vector<std::size_t> seed_configs;
@@ -49,7 +47,7 @@ class TwoStageExplorer final : public Explorer {
     std::vector<std::size_t> warm_flat_seeds;
   };
 
-  explicit TwoStageExplorer(Params params);
+  explicit TwoStageExplorer(Params params) : params_(std::move(params)) {}
 
   std::string_view name() const override { return "two-stage"; }
   ExploreResult explore(const ExploreContext& ctx) const override;

@@ -139,8 +139,6 @@ ChaosSpec ChaosSpec::parse(std::string_view text) {
       spec.ingest_flood = parse_probability(key, value);
     else if (key == "journal-fail")
       spec.journal_fail = parse_probability(key, value);
-    else if (key == "dse-explore")
-      spec.dse_explore = parse_probability(key, value);
     else if (key == "disk-full")
       spec.disk_full = parse_probability(key, value);
     else if (key == "pool-corrupt")
@@ -289,22 +287,19 @@ bool ChaosEngine::crash_now(std::string_view site) {
 
 bool ChaosEngine::fire_indexed(std::string_view site, std::uint64_t index) const {
   if (!enabled()) return false;
-  return fire_indexed(site, index, spec().stage_fail, "chaos.point_faults");
-}
-
-bool ChaosEngine::fire_indexed(std::string_view site, std::uint64_t index,
-                               double probability, const char* counter_name) const {
-  if (!enabled() || probability <= 0.0) return false;
+  double probability = 0.0;
   std::uint64_t seed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    probability = spec_.stage_fail;
     seed = spec_.seed;
   }
+  if (probability <= 0.0) return false;
   Rng rng(derive_stream(hash_combine(seed, stable_hash64(site)), index));
   const bool fire = rng.uniform() < probability;
   if (fire) {
     injected_.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry::global().counter(counter_name).add(1);
+    MetricsRegistry::global().counter("chaos.point_faults").add(1);
   }
   return fire;
 }

@@ -17,7 +17,7 @@
 //   key            = stage-fail | stage-hang | stage-slow
 //                  | cache-read | cache-write | cache-tmp
 //                  | shard-stall | ingest-flood | journal-fail
-//                  | dse-explore | disk-full | pool-corrupt | crash-at
+//                  | disk-full | pool-corrupt | crash-at
 //                  | hang-ms | slow-ms | stall-ms | flood-burst
 //
 // The fault keys take per-call probabilities in [0, 1]; hang-ms /
@@ -90,7 +90,6 @@ struct ChaosSpec {
   double shard_stall = 0.0;  ///< P(server shard worker parks past its deadline)
   double ingest_flood = 0.0; ///< P(a submitted feedback event is amplified)
   double journal_fail = 0.0; ///< P(a checkpoint group-commit flush fails)
-  double dse_explore = 0.0;  ///< P(a DSE explorer search round is voided)
   double disk_full = 0.0;    ///< P(a checkpoint disk operation hits ENOSPC)
   double pool_corrupt = 0.0; ///< P(a knowledge-pool lookup sees a corrupt entry)
   double hang_ms = 50.0;
@@ -107,8 +106,8 @@ struct ChaosSpec {
   bool any() const {
     return stage_fail > 0 || stage_hang > 0 || stage_slow > 0 || cache_read > 0 ||
            cache_write > 0 || cache_tmp > 0 || shard_stall > 0 ||
-           ingest_flood > 0 || journal_fail > 0 || dse_explore > 0 ||
-           disk_full > 0 || pool_corrupt > 0 || !crash_site.empty();
+           ingest_flood > 0 || journal_fail > 0 || disk_full > 0 ||
+           pool_corrupt > 0 || !crash_site.empty();
   }
 
   /// The six checkpoint write boundaries crash-at accepts.
@@ -175,11 +174,6 @@ class ChaosEngine {
   /// with probability `stage_fail` for the given (site, index) pair,
   /// independent of call order.  Throws nothing; callers throw.
   bool fire_indexed(std::string_view site, std::uint64_t index) const;
-
-  /// fire_indexed with an explicit probability and metric — the DSE
-  /// explorer's "dse.explore" site draws with spec().dse_explore.
-  bool fire_indexed(std::string_view site, std::uint64_t index, double probability,
-                    const char* counter_name) const;
 
   /// Total injections performed since construction / install().
   std::uint64_t injected() const { return injected_.load(std::memory_order_relaxed); }

@@ -14,6 +14,7 @@
 #include "cobayn/cobayn.hpp"
 #include "dse/dse.hpp"
 #include "dse/explorer.hpp"
+#include "dse/two_stage.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/sources.hpp"
 #include "observability/metrics.hpp"
@@ -232,7 +233,7 @@ TEST(ArtifactKeys, DseKeyTracksEveryInput) {
                              kDseStageVersion + 1),
             base);
   EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
-                             dse::RandomSubsetExplorer(0.25)),
+                             dse::TwoStageExplorer({})),
             base);
 
   auto narrower = space;

@@ -161,6 +161,7 @@ TEST(ChaosSpecParse, MalformedSpecsThrowSocratesError) {
   EXPECT_THROW(ChaosSpec::parse("stage-fail=-0.1"), Error);
   EXPECT_THROW(ChaosSpec::parse("hang-ms=999999"), Error);
   EXPECT_THROW(ChaosSpec::parse("stage-fail=0.5:notaseed"), Error);
+  EXPECT_THROW(ChaosSpec::parse("dse-explore=0.5"), Error);
 }
 
 TEST(ChaosEngineBasics, DisabledEngineInjectsNothing) {

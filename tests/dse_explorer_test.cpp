@@ -3,7 +3,6 @@
 // docs/DSE.md.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +11,8 @@
 #include "dse/representative.hpp"
 #include "dse/two_stage.hpp"
 #include "kernels/registry.hpp"
+#include "margot/asrtm.hpp"
+#include "margot/context.hpp"
 #include "support/chaos.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -56,11 +57,8 @@ TEST_F(DseExplorer, DecodeKnobsRoundTripsAcrossEveryStrategy) {
   params.seed_configs = {4, 6};
 
   const FullFactorialExplorer full;
-  const RandomSubsetExplorer subset(0.1);
-  const StratifiedExplorer stratified(4);
   const TwoStageExplorer two_stage(params);
-  for (const Explorer* e :
-       std::vector<const Explorer*>{&full, &subset, &stratified, &two_stage}) {
+  for (const Explorer* e : std::vector<const Explorer*>{&full, &two_stage}) {
     const auto result = e->explore(context(kernel));
     ASSERT_FALSE(result.points.empty()) << e->name();
     if (e == &full) {
@@ -97,10 +95,6 @@ TEST_F(DseExplorer, DecodeKnobsRoundTripsAcrossEveryStrategy) {
 TEST_F(DseExplorer, MakeExplorerBuildsTheConfiguredStrategy) {
   DseStrategyOptions options;
   EXPECT_EQ(make_explorer(options)->name(), "full");
-  options.kind = DseStrategyOptions::Kind::kSubset;
-  EXPECT_EQ(make_explorer(options)->name(), "subset");
-  options.kind = DseStrategyOptions::Kind::kStratified;
-  EXPECT_EQ(make_explorer(options)->name(), "stratified");
   options.kind = DseStrategyOptions::Kind::kTwoStage;
   EXPECT_EQ(make_explorer(options, {4, 5})->name(), "two-stage");
 }
@@ -109,20 +103,19 @@ TEST_F(DseExplorer, FingerprintsSeparateStrategiesAndBudgets) {
   // The artifact cache must never serve one strategy's profile to
   // another — or to the same strategy with a different budget.
   const FullFactorialExplorer full;
-  const RandomSubsetExplorer sub_a(0.25);
-  const RandomSubsetExplorer sub_b(0.5);
-  const StratifiedExplorer strat(6);
   TwoStageExplorer::Params pa;
   TwoStageExplorer::Params pb;
   pb.budget = 64;
+  TwoStageExplorer::Params pc;
+  pc.seed_configs = {4};
   const TwoStageExplorer two_a(pa);
   const TwoStageExplorer two_b(pb);
+  const TwoStageExplorer two_c(pc);
 
-  std::set<std::uint64_t> prints{fingerprint(full),   fingerprint(sub_a),
-                                 fingerprint(sub_b),  fingerprint(strat),
-                                 fingerprint(two_a),  fingerprint(two_b)};
-  EXPECT_EQ(prints.size(), 6u);
-  EXPECT_EQ(fingerprint(sub_a), fingerprint(RandomSubsetExplorer(0.25)));
+  std::set<std::uint64_t> prints{fingerprint(full), fingerprint(two_a),
+                                 fingerprint(two_b), fingerprint(two_c)};
+  EXPECT_EQ(prints.size(), 4u);
+  EXPECT_EQ(fingerprint(two_b), fingerprint(TwoStageExplorer(pb)));
 }
 
 TEST_F(DseExplorer, ProfilePointsKeepsTheRequestOrderAndTheSweepBits) {
@@ -162,15 +155,29 @@ TEST_F(DseExplorer, TwoStageRespectsTheBudget) {
   EXPECT_EQ(auto_explorer.resolved_budget(3), 3u);
 }
 
+// A strategy must refuse a profile with no runs per point, and the
+// violation must name the bad argument.
+void expect_rejects_zero_repetitions(const Explorer& e) {
+  const auto& kernel = kernels::find_benchmark("2mm").model;
+  try {
+    e.explore(context(kernel, 0));
+    ADD_FAILURE() << e.name() << ": repetitions == 0 must throw";
+  } catch (const ContractViolation& err) {
+    EXPECT_NE(std::string(err.what()).find("repetitions"), std::string::npos)
+        << e.name() << ": the violation should name the bad argument, got: "
+        << err.what();
+  }
+}
+
+TEST_F(DseExplorer, FullFactorialRejectsZeroRepetitions) {
+  expect_rejects_zero_repetitions(FullFactorialExplorer{});
+}
+
+TEST_F(DseExplorer, TwoStageRejectsZeroRepetitions) {
+  expect_rejects_zero_repetitions(TwoStageExplorer(TwoStageExplorer::Params{}));
+}
+
 TEST_F(DseExplorer, TwoStageRejectsBadParameters) {
-  TwoStageExplorer::Params degenerate;
-  degenerate.population = 1;
-  EXPECT_THROW(TwoStageExplorer{degenerate}, ContractViolation);
-
-  TwoStageExplorer::Params no_gens;
-  no_gens.generations = 0;
-  EXPECT_THROW(TwoStageExplorer{no_gens}, ContractViolation);
-
   TwoStageExplorer::Params bad_seed;
   bad_seed.seed_configs = {space().configs.size()};
   const TwoStageExplorer explorer(bad_seed);
@@ -198,37 +205,56 @@ TEST_F(DseExplorer, TwoStageSeedChangesTheSearch) {
   EXPECT_NE(flat_set(a), flat_set(c)) << "the seed must steer the noisy search";
 }
 
-TEST_F(DseExplorer, ChaosVoidsGenerationsButNeverCorruptsTheArchive) {
-  // dse-explore=1 voids every GA generation: the search degrades to the
-  // seeded population + polish, but each returned point is still
-  // bit-identical to the clean run's measurement of the same point.
+TEST_F(DseExplorer, ChaosDropsPointsButNeverCorruptsTheArchive) {
+  // stage-fail arms the dse.point site: with one attempt per point, a
+  // faulted point is dropped and the polish walks a smaller archive,
+  // but every returned point is bit-identical to the clean sweep's
+  // measurement of the same flat index.
   const auto& kernel = kernels::find_benchmark("nussinov").model;
+  const auto clean = FullFactorialExplorer().explore(context(kernel, 2, 7));
   TwoStageExplorer::Params params;
   params.seed_configs = {4};
   const TwoStageExplorer explorer(params);
-  const auto clean = explorer.explore(context(kernel, 2, 7));
 
-  ChaosSpec spec = ChaosSpec::parse("dse-explore=1:13");
-  ASSERT_GT(spec.dse_explore, 0.99);
-  ChaosEngine::global().install(spec);
+  ChaosEngine::global().install(ChaosSpec::parse("stage-fail=0.3:13"));
   const auto chaotic = explorer.explore(context(kernel, 2, 7));
   ChaosEngine::global().disarm();
 
-  EXPECT_GT(chaotic.generations, 0u) << "voided generations still count";
-  EXPECT_LE(chaotic.points.size(), clean.points.size())
-      << "a degraded search cannot discover more than the clean one";
+  EXPECT_GT(chaotic.dropped, 0u) << "the chaos schedule must drop some points";
+  EXPECT_EQ(chaotic.points.size() + chaotic.dropped, chaotic.evaluated);
+  EXPECT_LE(chaotic.evaluated, explorer.resolved_budget(space().size()));
   ASSERT_FALSE(chaotic.points.empty());
-  for (const auto& p : chaotic.points) {
-    const auto match =
-        std::find_if(clean.points.begin(), clean.points.end(), [&](const auto& q) {
-          return q.config_index == p.config_index &&
-                 q.configuration.threads == p.configuration.threads &&
-                 q.configuration.binding == p.configuration.binding;
-        });
-    if (match == clean.points.end()) continue;  // clean GA went elsewhere
-    EXPECT_EQ(p.exec_time_mean_s, match->exec_time_mean_s);
-    EXPECT_EQ(p.power_mean_w, match->power_mean_w);
+  ASSERT_EQ(chaotic.flat.size(), chaotic.points.size());
+  for (std::size_t k = 0; k < chaotic.points.size(); ++k) {
+    const auto& want = clean.points[chaotic.flat[k]];
+    EXPECT_EQ(chaotic.points[k].exec_time_mean_s, want.exec_time_mean_s)
+        << "flat " << chaotic.flat[k];
+    EXPECT_EQ(chaotic.points[k].power_mean_w, want.power_mean_w)
+        << "flat " << chaotic.flat[k];
   }
+}
+
+TEST_F(DseExplorer, SampledKnowledgeStillDrivesTheAsrtm) {
+  // The point of DSE-strategy agnosticism: an AS-RTM on the two-stage
+  // KB makes decisions close to the full-factorial one.
+  using M = margot::ContextMetrics;
+  const auto& kernel = kernels::find_benchmark("2mm").model;
+  TwoStageExplorer::Params params;
+  params.seed_configs = {4, 5, 6, 7};
+
+  const auto full = FullFactorialExplorer().explore(context(kernel, 3, 2018)).points;
+  const auto sampled = TwoStageExplorer(params).explore(context(kernel, 3, 2018)).points;
+
+  margot::Asrtm full_rtm(to_knowledge_base(full));
+  margot::Asrtm samp_rtm(to_knowledge_base(sampled));
+  for (auto* rtm : {&full_rtm, &samp_rtm}) {
+    rtm->set_rank(margot::Rank::minimize_exec_time(M::kExecTime));
+    rtm->add_constraint({M::kPower, margot::ComparisonOp::kLessEqual, 100.0, 0, 0.0});
+  }
+  const double t_full = full_rtm.best_operating_point().metrics[M::kExecTime].mean;
+  const double t_samp = samp_rtm.best_operating_point().metrics[M::kExecTime].mean;
+  EXPECT_LE(t_samp, t_full * 1.35) << "sampled KB should be within ~35% of full";
+  EXPECT_GE(t_samp, t_full * 0.95) << "sampled KB cannot beat the superset";
 }
 
 TEST_F(DseExplorer, StrategyOptionsDefaultsReproduceThePaper) {

@@ -104,7 +104,7 @@ TEST(ParallelDeterminism, TracingDoesNotPerturbResultsAndSpanCountsMatch) {
 }
 
 TEST(ParallelDeterminism, TwoStageExplorerIsByteIdenticalAtAnyJobCount) {
-  // The explorer's GA decisions run on a serial stream and every
+  // The explorer draws from no RNG stream of its own and every
   // profiled point derives its noise from (seed, flat index), so the
   // whole search — candidate selection included — is reproducible at
   // any job count.
@@ -127,7 +127,6 @@ TEST(ParallelDeterminism, TwoStageExplorerIsByteIdenticalAtAnyJobCount) {
     const auto parallel = explorer.explore(pctx);
     EXPECT_EQ(profile_bytes(parallel.points), baseline_bytes) << "jobs=" << jobs;
     EXPECT_EQ(parallel.evaluated, baseline.evaluated) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.generations, baseline.generations) << "jobs=" << jobs;
   }
 }
 

@@ -22,9 +22,13 @@ TEST(RealProfile, MeasuresRealWallTime) {
 }
 
 TEST(RealProfile, LargerProblemTakesLonger) {
+  // The fastest of the repetitions, not the mean: one preempted run
+  // can inflate a small problem's mean past a large one's.  Sustained
+  // load can slow every run, so the binary also runs serially
+  // (tests/CMakeLists.txt).
   const auto small = profile_real_kernel("2mm", 32, 3);
   const auto large = profile_real_kernel("2mm", 128, 3);
-  EXPECT_GT(large.exec_time_mean_s, small.exec_time_mean_s);
+  EXPECT_GT(large.exec_time_min_s, small.exec_time_min_s);
 }
 
 TEST(RealProfile, EnergyBackendIsReported) {
