@@ -131,6 +131,9 @@ set_tests_properties(fig4_bench_baseline_rejects_doctored PROPERTIES
 # stack strictly beats raw with zero surviving corrupted observations,
 # and kill-and-resume replays to the exact pre-crash state — and the
 # BENCH_fault_tolerance.json artifact gated by the committed bounds.
+# The third test feeds the checker a doctored artifact whose checkpoint
+# kill-and-resume is not exact; it must fail, which shows that the gate
+# can fail.
 add_test(NAME fault_tolerance_bench_smoke
   COMMAND ablation_fault_tolerance)
 set_tests_properties(fault_tolerance_bench_smoke PROPERTIES
@@ -147,13 +150,22 @@ add_test(NAME fault_tolerance_bench_baseline
 set_tests_properties(fault_tolerance_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_fault_tolerance_json)
+add_test(NAME fault_tolerance_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/fault_tolerance.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/fault_tolerance_doctored.json)
+set_tests_properties(fault_tolerance_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
 
 # The batched-decision pin (quick mode for CTest): 1024 tenants x 256
 # operating points, per-call decide() vs decide_batch() in steady
 # state, with the bench's built-in assertions — >= 5x batch throughput,
 # zero steady-state allocations on either path, identical results, a
 # fully lock-free sweep — and the BENCH_decision_sweep.json artifact
-# gated by the committed bounds.
+# gated by the committed bounds.  The third test feeds the checker a
+# doctored artifact whose batched sweep is only 4.9x the per-call path;
+# it must fail, which shows that the gate can fail.
 add_test(NAME decision_sweep_bench_smoke
   COMMAND bench_decision_sweep --quick)
 set_tests_properties(decision_sweep_bench_smoke PROPERTIES
@@ -170,12 +182,21 @@ add_test(NAME decision_sweep_bench_baseline
 set_tests_properties(decision_sweep_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_decision_sweep_json)
+add_test(NAME decision_sweep_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/decision_sweep.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/decision_sweep_doctored.json)
+set_tests_properties(decision_sweep_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
 
 # The online-adaptation pin: the seeded co-runner episode with the
 # bench's built-in invariant — the adaptive AS-RTM holds the power cap
 # through the episode while frozen design-time knowledge violates it —
 # and the BENCH_feedback_adaptation.json artifact gated by the
-# committed bounds.
+# committed bounds.  The third test feeds the checker a doctored
+# artifact whose adaptive run violates the cap 6% of the co-runner
+# episode; it must fail, which shows that the gate can fail.
 add_test(NAME feedback_adaptation_bench_smoke
   COMMAND ablation_feedback_adaptation)
 set_tests_properties(feedback_adaptation_bench_smoke PROPERTIES
@@ -192,6 +213,13 @@ add_test(NAME feedback_adaptation_bench_baseline
 set_tests_properties(feedback_adaptation_bench_baseline PROPERTIES
   LABELS "bench;smoke"
   FIXTURES_REQUIRED bench_feedback_adaptation_json)
+add_test(NAME feedback_adaptation_bench_baseline_rejects_doctored
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/feedback_adaptation.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/feedback_adaptation_doctored.json)
+set_tests_properties(feedback_adaptation_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
 
 # The cross-tenant warm-start pin (quick mode for CTest): a converged
 # donor's pooled knowledge must let a similar tenant reach the true

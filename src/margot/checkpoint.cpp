@@ -1,8 +1,5 @@
 #include "margot/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +16,7 @@
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
-#include "support/serialize.hpp"
+#include "support/sealed_file.hpp"
 
 namespace socrates::margot {
 
@@ -104,36 +101,23 @@ bool parse_payload(const std::string& payload, Asrtm::Snapshot& snap,
   return true;
 }
 
-/// Outcome of reading one snapshot generation off the disk.
-enum class SnapLoad { kMissing, kCorrupt, kOk };
-
-/// Reads + verifies a snapshot file (header, checksum, payload shape)
+/// Reads + verifies a snapshot file (envelope, checksum, payload shape)
 /// WITHOUT applying it.  On kCorrupt `reason` names the defect.
-SnapLoad load_snapshot(const std::string& file, Asrtm::Snapshot& snap,
-                       std::string& active_state, std::uint64_t& epoch,
-                       std::string& reason) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) return SnapLoad::kMissing;
-  // Header: magic version epoch payload-size payload-hash-hex
-  std::string magic, version, hash_text;
-  std::size_t size = 0;
-  if (!(in >> magic >> version >> epoch >> size >> hash_text) || magic != kMagic ||
-      version != kVersion) {
-    reason = "unrecognized checkpoint header";
-    return SnapLoad::kCorrupt;
+sealed::File::Status load_snapshot(const std::string& file, Asrtm::Snapshot& snap,
+                                   std::string& active_state, std::uint64_t& epoch,
+                                   std::string& reason) {
+  const sealed::File sealed_snapshot = sealed::read(file, kMagic, kVersion);
+  if (sealed_snapshot.status != sealed::File::Status::kOk) {
+    reason = "checkpoint " + sealed_snapshot.reason;
+    return sealed_snapshot.status;
   }
-  in.get();  // the separator newline
-  const std::optional<std::string> payload = read_claimed_payload(in, size);
-  const std::uint64_t hash = std::strtoull(hash_text.c_str(), nullptr, 16);
-  if (!payload || stable_hash64(*payload) != hash) {
-    reason = "checkpoint payload truncated or checksum mismatch";
-    return SnapLoad::kCorrupt;
-  }
-  if (!parse_payload(*payload, snap, active_state)) {
+  epoch = std::strtoull(sealed_snapshot.tag.c_str(), nullptr, 10);
+  if (std::to_string(epoch) != sealed_snapshot.tag ||
+      !parse_payload(sealed_snapshot.payload, snap, active_state)) {
     reason = "malformed checkpoint payload";
-    return SnapLoad::kCorrupt;
+    return sealed::File::Status::kCorrupt;
   }
-  return SnapLoad::kOk;
+  return sealed::File::Status::kOk;
 }
 
 /// Journal line body: epoch, kind, op, metric, value, then the state
@@ -224,22 +208,6 @@ void replay_journal_file(Asrtm& asrtm, const std::string& file,
   }
 }
 
-/// fsync by path: reopens read-only and syncs — on Linux this flushes
-/// the file's dirty pages no matter which descriptor wrote them.
-/// Works for directories too (rename durability).  Best-effort: a
-/// failure here cannot make the data *less* durable.
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-void fsync_parent_dir(const std::string& path) {
-  const auto dir = std::filesystem::path(path).parent_path();
-  fsync_path(dir.empty() ? "." : dir.string());
-}
-
 }  // namespace
 
 const char* to_string(RecoveryRung rung) {
@@ -277,7 +245,13 @@ CheckpointStore::CheckpointStore(std::string path, Options options)
   if (options_.probe_base_s <= 0.0) options_.probe_base_s = 0.05;
   if (options_.probe_max_s < options_.probe_base_s)
     options_.probe_max_s = options_.probe_base_s;
-  sweep_stale_tmps();
+  // The store is single-owner, so any <path>.tmp.<pid> is garbage a dead
+  // process left between its temp write and its rename.
+  if (const std::size_t swept = sealed::sweep_stale_tmps(path_); swept > 0) {
+    log_info() << "checkpoint: swept " << swept
+               << " stale tmp snapshot(s) next to " << path_;
+    MetricsRegistry::global().counter("checkpoint.tmp_files_swept").add(swept);
+  }
 }
 
 CheckpointStore::~CheckpointStore() {
@@ -293,39 +267,11 @@ CheckpointStore::~CheckpointStore() {
   journal_.close();
 }
 
-std::string CheckpointStore::snapshot_path(std::size_t generation) const {
-  return generation == 0 ? path_ : path_ + "." + std::to_string(generation);
-}
-
-std::string CheckpointStore::journal_path(std::size_t generation) const {
-  const std::string base = path_ + ".journal";
-  return generation == 0 ? base : base + "." + std::to_string(generation);
-}
-
-void CheckpointStore::sweep_stale_tmps() {
-  // A crash between "write tmp" and "rename into place" leaks
-  // <path>.tmp.<pid>.  No live writer exists at construction time (the
-  // store is single-owner and writes its own pid), so anything matching
-  // is garbage from a dead process.
-  namespace fs = std::filesystem;
-  const fs::path snapshot(path_);
-  fs::path dir = snapshot.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string prefix = snapshot.filename().string() + ".tmp.";
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec), end;
-  std::size_t swept = 0;
-  for (; !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind(prefix, 0) != 0) continue;
-    std::error_code rec;
-    if (fs::remove(it->path(), rec)) ++swept;
-  }
-  if (swept > 0) {
-    log_info() << "checkpoint: swept " << swept
-               << " stale tmp snapshot(s) next to " << path_;
-    MetricsRegistry::global().counter("checkpoint.tmp_files_swept").add(swept);
-  }
+void CheckpointStore::die(const char* site, const std::string& file) {
+  crashed_ = true;
+  journal_.close();
+  journal_.clear();
+  log_warn() << "checkpoint: injected crash at " << site << " on " << file;
 }
 
 double CheckpointStore::now_s() const {
@@ -443,10 +389,10 @@ CheckpointStore::RestoreResult CheckpointStore::attach(Asrtm& asrtm) {
     Asrtm::Snapshot cand;
     std::string cand_state;
     std::uint64_t cand_epoch = 0;
-    const SnapLoad loaded = load_snapshot(file, cand, cand_state, cand_epoch, reason);
-    if (loaded == SnapLoad::kMissing) continue;
+    const auto loaded = load_snapshot(file, cand, cand_state, cand_epoch, reason);
+    if (loaded == sealed::File::Status::kMissing) continue;
     any_snapshot_file = true;
-    if (loaded == SnapLoad::kOk) {
+    if (loaded == sealed::File::Status::kOk) {
       try {
         asrtm.restore(cand);
         snap_state = cand_state;
@@ -617,16 +563,6 @@ void CheckpointStore::open_journal(bool truncate) {
   }
 }
 
-void CheckpointStore::rotate_generations() {
-  // <path>.(K-2) -> .(K-1), ..., <path> -> .1.  A missing source just
-  // means that generation does not exist yet; rename-over replaces the
-  // oldest.
-  for (std::size_t g = options_.generations; g-- > 1;) {
-    std::error_code ec;
-    std::filesystem::rename(snapshot_path(g - 1), snapshot_path(g), ec);
-  }
-}
-
 void CheckpointStore::rotate_journals() {
   // The journal rotates WITH its snapshot: journal.<g> holds exactly
   // the events that carried snapshot generation <g> forward to
@@ -634,92 +570,56 @@ void CheckpointStore::rotate_journals() {
   // chain-replays.
   journal_.close();
   journal_.clear();
-  for (std::size_t g = options_.generations; g-- > 1;) {
-    std::error_code ec;
-    std::filesystem::rename(journal_path(g - 1), journal_path(g), ec);
-  }
+  sealed::rotate_generations(journal_path(), options_.generations);
   open_journal(/*truncate=*/true);
 }
 
 bool CheckpointStore::write_snapshot(std::uint64_t epoch) {
   if (crashed_) return false;
   auto& chaos = ChaosEngine::global();
-  const std::string payload = serialize_payload(asrtm_->snapshot(), active_state_);
-  std::ostringstream header_os;
-  header_os << kMagic << ' ' << kVersion << ' ' << epoch << ' ' << payload.size()
-            << ' ' << std::hex << stable_hash64(payload) << std::dec << '\n';
-  const std::string header = header_os.str();
-  const std::string tmp = path_ + ".tmp." + std::to_string(::getpid());
-
+  const std::string bytes = sealed::seal(
+      kMagic, kVersion, std::to_string(epoch),
+      serialize_payload(asrtm_->snapshot(), active_state_));
+  const std::string tmp = sealed::tmp_path(path_);
   if (chaos.enabled() && chaos.fail_disk("checkpoint.disk")) {
     enter_degraded(IoError::kNoSpace, "injected disk-full writing " + tmp);
     return false;
   }
-  errno = 0;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      enter_degraded(classify_errno(errno, IoError::kOpen), "cannot write " + tmp);
-      return false;
-    }
-    if (chaos.enabled() && chaos.crash_now("snapshot-header")) {
-      // Death mid-header: the torn tmp is never published, the sweep
-      // removes it on the next construction.
-      out.write(header.data(),
-                static_cast<std::streamsize>(header.size() / 2));
-      out.flush();
-      out.close();
-      crashed_ = true;
-      journal_.close();
-      journal_.clear();
-      log_warn() << "checkpoint: injected crash at snapshot-header on " << tmp;
-      return false;
-    }
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    if (chaos.enabled() && chaos.crash_now("snapshot-body")) {
-      out.write(payload.data(),
-                static_cast<std::streamsize>(payload.size() / 2));
-      out.flush();
-      out.close();
-      crashed_ = true;
-      journal_.close();
-      journal_.clear();
-      log_warn() << "checkpoint: injected crash at snapshot-body on " << tmp;
-      return false;
-    }
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      enter_degraded(classify_errno(errno, IoError::kShortWrite),
-                     "short write on " + tmp + ", keeping previous snapshot");
+  // Death mid-write tears the tmp file to a prefix of the sealed bytes:
+  // half the header, or the header plus half the payload.  The torn tmp
+  // is never published; the sweep removes it on the next construction.
+  const std::size_t header = bytes.find('\n') + 1;
+  for (const auto& [site, torn] :
+       {std::pair{"snapshot-header", header / 2},
+        std::pair{"snapshot-body", header + (bytes.size() - header) / 2}}) {
+    if (chaos.enabled() && chaos.crash_now(site)) {
+      (void)sealed::write_tmp(path_, std::string_view(bytes).substr(0, torn), false);
+      die(site, tmp);
       return false;
     }
   }
-  if (options_.fsync_on_commit) fsync_path(tmp);
+  if (const auto written = sealed::write_tmp(path_, bytes, options_.fsync_on_commit);
+      !written) {
+    const bool open = written.failed == sealed::WriteStatus::Step::kOpen;
+    enter_degraded(
+        classify_errno(written.error, open ? IoError::kOpen : IoError::kShortWrite),
+        (open ? "cannot write " : "short write on ") + tmp);
+    return false;
+  }
   if (chaos.enabled() && chaos.crash_now("snapshot-rename")) {
     // Death between write and publish: a complete, valid tmp exists but
     // the previous snapshot is still the newest — restore must land on
     // it, and the sweep collects the orphan.
-    crashed_ = true;
-    journal_.close();
-    journal_.clear();
-    log_warn() << "checkpoint: injected crash at snapshot-rename on " << tmp;
+    die("snapshot-rename", tmp);
     return false;
   }
-  rotate_generations();
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) {
-    std::error_code rec;
-    std::filesystem::remove(tmp, rec);
+  if (const auto published =
+          sealed::publish_tmp(path_, options_.generations, options_.fsync_on_commit);
+      !published) {
     enter_degraded(IoError::kRename,
-                   "cannot publish " + path_ + ": " + ec.message());
+                   "cannot publish " + path_ + ": " + published.message());
     return false;
   }
-  if (options_.fsync_on_commit) fsync_parent_dir(path_);
   return true;
 }
 
@@ -750,10 +650,7 @@ void CheckpointStore::checkpoint() {
     // Death between publishing the new snapshot and rotating the
     // journal: the live journal still holds old-epoch lines.  The next
     // restore must skip every one of them (epoch tag mismatch).
-    crashed_ = true;
-    journal_.close();
-    journal_.clear();
-    log_warn() << "checkpoint: injected crash at journal-truncate on " << path_;
+    die("journal-truncate", path_);
     return;
   }
   // A real crash exactly here leaves old-epoch journal lines behind;
@@ -815,8 +712,7 @@ void CheckpointStore::on_event(const RuntimeEvent& event) {
 void CheckpointStore::flush_batch() {
   if (batch_lines_ == 0) return;
   if (crashed_) {
-    batch_.clear();
-    batch_lines_ = 0;
+    discard_batch(false);
     return;
   }
   auto& chaos = ChaosEngine::global();
@@ -827,8 +723,7 @@ void CheckpointStore::flush_batch() {
     static Counter& lost =
         MetricsRegistry::global().counter("checkpoint.journal_batches_lost");
     lost.add(1);
-    batch_.clear();
-    batch_lines_ = 0;
+    discard_batch(false);
     return;
   }
   if (degraded_) {
@@ -836,25 +731,13 @@ void CheckpointStore::flush_batch() {
     // (they were serialized with the pre-recovery epoch anyway); while
     // still degraded they are dropped and counted.  Either way the
     // batch never reaches the journal.
-    if (!maybe_probe()) {
-      events_dropped_ += batch_lines_;
-      MetricsRegistry::global()
-          .counter("checkpoint.events_dropped")
-          .add(batch_lines_);
-    }
-    batch_.clear();
-    batch_lines_ = 0;
+    discard_batch(!maybe_probe());
     return;
   }
   if (chaos.enabled() && chaos.fail_disk("checkpoint.disk")) {
     enter_degraded(IoError::kNoSpace,
                    "injected disk-full appending to " + journal_path());
-    events_dropped_ += batch_lines_;
-    MetricsRegistry::global()
-        .counter("checkpoint.events_dropped")
-        .add(batch_lines_);
-    batch_.clear();
-    batch_lines_ = 0;
+    discard_batch(true);
     return;
   }
   if (chaos.enabled() && chaos.crash_now("journal-append")) {
@@ -865,13 +748,8 @@ void CheckpointStore::flush_batch() {
                      static_cast<std::streamsize>(batch_.size() / 2));
       journal_.flush();
     }
-    crashed_ = true;
-    journal_.close();
-    journal_.clear();
-    log_warn() << "checkpoint: injected crash at journal-append on "
-               << journal_path();
-    batch_.clear();
-    batch_lines_ = 0;
+    die("journal-append", journal_path());
+    discard_batch(false);
     return;
   }
   errno = 0;
@@ -881,31 +759,30 @@ void CheckpointStore::flush_batch() {
     journal_.flush();
     wrote = static_cast<bool>(journal_);
   }
-  if (wrote && options_.fsync_on_commit) fsync_path(journal_path());
+  if (wrote && options_.fsync_on_commit) sealed::fsync_path(journal_path());
   if (chaos.enabled() && chaos.crash_now("journal-flush")) {
     // Death just after the commit boundary: the whole batch is durable,
     // nothing after it is.
-    crashed_ = true;
-    journal_.close();
-    journal_.clear();
-    log_warn() << "checkpoint: injected crash at journal-flush on "
-               << journal_path();
-    batch_.clear();
-    batch_lines_ = 0;
+    die("journal-flush", journal_path());
+    discard_batch(false);
     return;
   }
   if (!wrote) {
     enter_degraded(classify_errno(errno, IoError::kIo),
                    "journal append failed on " + journal_path());
-    events_dropped_ += batch_lines_;
-    MetricsRegistry::global()
-        .counter("checkpoint.events_dropped")
-        .add(batch_lines_);
   } else {
     journal_bytes_ += batch_.size();
     static Counter& batches =
         MetricsRegistry::global().counter("checkpoint.journal_batches");
     batches.add(1);
+  }
+  discard_batch(!wrote);
+}
+
+void CheckpointStore::discard_batch(bool dropped) {
+  if (dropped) {
+    events_dropped_ += batch_lines_;
+    MetricsRegistry::global().counter("checkpoint.events_dropped").add(batch_lines_);
   }
   batch_.clear();
   batch_lines_ = 0;

@@ -11,9 +11,9 @@
 // CheckpointStore persists that state with a classic snapshot+journal
 // scheme, hardened against real storage failures:
 //
-//   <path>            newest versioned, checksummed snapshot, written
-//                     to a temp file and atomically renamed — readers
-//                     never see a torn snapshot;
+//   <path>            newest snapshot, a sealed file tagged with its
+//                     epoch (support/sealed_file.hpp), published by
+//                     rename — readers never see a torn snapshot;
 //   <path>.<g>        older snapshot *generations* (g = 1..K-1),
 //                     rotated at every publish so one corrupted
 //                     snapshot never costs all learned knowledge;
@@ -75,6 +75,7 @@
 #include <string>
 
 #include "margot/asrtm.hpp"
+#include "support/sealed_file.hpp"
 
 namespace socrates::margot {
 
@@ -173,9 +174,13 @@ class CheckpointStore {
 
   const std::string& path() const { return path_; }
   /// Snapshot file of generation g (0 = newest = path()).
-  std::string snapshot_path(std::size_t generation) const;
+  std::string snapshot_path(std::size_t generation) const {
+    return sealed::generation_path(path_, generation);
+  }
   /// Journal file of generation g (0 = the live journal).
-  std::string journal_path(std::size_t generation = 0) const;
+  std::string journal_path(std::size_t generation = 0) const {
+    return sealed::generation_path(path_ + ".journal", generation);
+  }
   std::size_t journaled_events() const { return journaled_; }
   std::size_t snapshots_written() const { return snapshots_; }
   /// Events formatted but not yet committed to disk — the amount a
@@ -214,13 +219,12 @@ class CheckpointStore {
   /// journal-fail chaos fault (or a real I/O failure) drops the batch —
   /// exactly the events a crash between commits would have lost.
   void flush_batch();
-  /// Writes the snapshot for `epoch` via tmp+rename with generation
-  /// rotation; returns success.  Failure classifies the error and
-  /// enters (or stays in) degraded mode.
+  /// Empties the batch; `dropped` counts its events as never journaled.
+  void discard_batch(bool dropped);
+  /// Publishes the snapshot for `epoch` as a sealed file (tmp+rename,
+  /// rotating generations); returns success.  Failure classifies the
+  /// error and enters (or stays in) degraded mode.
   bool write_snapshot(std::uint64_t epoch);
-  /// Shifts <path> -> <path>.1 -> ... before a new snapshot is renamed
-  /// into place (a no-op for generations == 1).
-  void rotate_generations();
   /// Shifts <path>.journal -> .journal.1 -> ... (generations deep) and
   /// opens a fresh truncated live journal.
   void rotate_journals();
@@ -232,7 +236,8 @@ class CheckpointStore {
   bool maybe_probe();
   bool probe_now();
   double now_s() const;
-  void sweep_stale_tmps();
+  /// An injected crash-at fired at `site`: freeze the disk from now on.
+  void die(const char* site, const std::string& file);
 
   std::string path_;
   Options options_;

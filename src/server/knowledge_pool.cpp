@@ -1,11 +1,7 @@
 #include "server/knowledge_pool.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -15,13 +11,18 @@
 #include "observability/metrics.hpp"
 #include "support/chaos.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/sealed_file.hpp"
 #include "support/serialize.hpp"
 
 namespace socrates::server {
 
 namespace {
+
+// v2: the sealed-file envelope, tag "0".  An older build's v1 file fails
+// the version check, so the pool starts empty (new tenants cold-start).
+constexpr const char* kMagic = "socrates-pool";
+constexpr const char* kVersion = "v2";
 
 /// A posterior can only be the 128-combo COBAYN export; anything bigger
 /// in a pool file is corruption, not data.
@@ -96,37 +97,27 @@ KnowledgePool::KnowledgePool(Options options) : options_(std::move(options)) {
   options_.max_entries = std::max<std::size_t>(1, options_.max_entries);
   options_.max_representatives = std::max<std::size_t>(1, options_.max_representatives);
   options_.distance_threshold = std::max(0.0, options_.distance_threshold);
-  if (!options_.path.empty()) load_from_disk();
+  if (!options_.path.empty()) {
+    sealed::sweep_stale_tmps(options_.path);  // temps of a process killed mid-save
+    load_from_disk();
+  }
   entries_gauge().set(static_cast<double>(entries_.size()));
 }
 
-std::string KnowledgePool::generation_path(std::size_t generation) const {
-  return generation == 0 ? options_.path
-                         : options_.path + "." + std::to_string(generation);
-}
-
 void KnowledgePool::load_from_disk() {
-  // Newest generation first; a corrupt file (bad magic, short payload,
-  // hash mismatch, unparsable entry) falls through to the next rung
-  // instead of failing construction — pool loss degrades new tenants
-  // to cold starts, which is always safe.
+  // Newest generation first; a corrupt file (bad envelope, short
+  // payload, hash mismatch, unparsable entry) falls through to the next
+  // rung instead of failing construction — pool loss degrades new
+  // tenants to cold starts, which is always safe.
   for (std::size_t g = 0; g < options_.generations; ++g) {
-    std::ifstream in(generation_path(g), std::ios::binary);
-    if (!in) continue;  // missing generation: normal on first boot
+    const std::string path = sealed::generation_path(options_.path, g);
+    const sealed::File file = sealed::read(path, kMagic, kVersion);
+    if (file.status == sealed::File::Status::kMissing) continue;  // first boot
     try {
-      std::string magic, version;
-      std::size_t payload_bytes = 0;
-      std::uint64_t expected_hash = 0;
-      in >> magic >> version >> payload_bytes >> expected_hash;
-      SOCRATES_REQUIRE_MSG(in && magic == "socrates-pool" && version == "v1",
-                           "pool: not a pool file");
-      in.get();  // header newline
-      const std::optional<std::string> payload = read_claimed_payload(in, payload_bytes);
-      SOCRATES_REQUIRE_MSG(payload.has_value(), "pool: truncated payload");
-      SOCRATES_REQUIRE_MSG(stable_hash64(*payload) == expected_hash,
-                           "pool: payload hash mismatch");
-
-      std::istringstream body(*payload);
+      SOCRATES_REQUIRE_MSG(
+          file.status == sealed::File::Status::kOk && file.tag == "0",
+          "pool: " << (file.reason.empty() ? "tag " + file.tag : file.reason));
+      std::istringstream body(file.payload);
       std::string tag;
       std::size_t count = 0;
       body >> tag >> count;
@@ -137,8 +128,8 @@ void KnowledgePool::load_from_disk() {
       for (std::size_t i = 0; i < count; ++i) loaded.push_back(read_entry(body));
       entries_ = std::move(loaded);
       if (g > 0)
-        log_warn() << "knowledge pool: recovered from generation " << g << " ("
-                   << generation_path(g) << ")";
+        log_warn() << "knowledge pool: recovered from generation " << g << " (" << path
+                   << ")";
       return;
     } catch (const std::exception& e) {
       corrupt_counter().add(1);
@@ -155,40 +146,15 @@ bool KnowledgePool::save() const {
     os << "entries " << entries_.size() << '\n';
     for (const auto& e : entries_) write_entry(os, e);
   }
-  const std::string payload = os.str();
-
-  // Rotate the generation chain (best effort: a missing older
-  // generation is fine), then publish tmp+rename so a crash mid-write
-  // never clobbers the newest good file.
-  std::error_code ec;
-  for (std::size_t g = options_.generations; g-- > 1;)
-    std::filesystem::rename(generation_path(g - 1), generation_path(g), ec);
-
-  const std::string tmp = options_.path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      log_warn() << "knowledge pool: cannot write " << tmp;
-      return false;
-    }
-    out << "socrates-pool v1 " << payload.size() << ' ' << stable_hash64(payload)
-        << '\n'
-        << payload;
-    out.flush();
-    if (!out) {
-      std::filesystem::remove(tmp, ec);
-      log_warn() << "knowledge pool: short write on " << tmp;
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, options_.path, ec);
-  if (ec) {
-    log_warn() << "knowledge pool: cannot publish " << options_.path << ": "
-               << ec.message();
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  // The temp file is written before the generations rotate, so a failed
+  // save leaves every generation as it was.
+  const auto published =
+      sealed::publish(options_.path, sealed::seal(kMagic, kVersion, "0", os.str()),
+                      options_.generations, false);
+  if (!published)
+    log_warn() << "knowledge pool: cannot save " << options_.path << ": "
+               << published.message();
+  return static_cast<bool>(published);
 }
 
 void KnowledgePool::publish(PoolEntry entry) {

@@ -20,14 +20,14 @@
 // at convergence (rare) and lookups at tenant registration (rare); the
 // feedback/decision hot paths never touch the pool.
 //
-// Crash safety: save() writes a single self-validating file (header
-// with payload length + content hash) through tmp+rename, rotating
-// the same generation chain the checkpoint layer uses (`pool`,
-// `pool.1`, ...).  Loading walks the generations newest-first and
-// falls back past corrupt ones, counting `server.pool_corrupt_entries`
-// — a damaged pool degrades new tenants to cold starts, never crashes
-// the server.  The chaos site "server.pool" (`pool-corrupt` key)
-// simulates exactly that on lookup.
+// Crash safety: save() publishes one sealed file (support/sealed_file.hpp)
+// through the generation chain (`pool`, `pool.1`, ...) the checkpoint
+// layer uses, and construction sweeps a killed save's temp file.
+// Loading walks the generations newest-first and falls back past
+// corrupt ones, counting `server.pool_corrupt_entries` — a damaged pool
+// degrades new tenants to cold starts, never crashes the server.  The
+// chaos site "server.pool" (`pool-corrupt` key) simulates exactly that
+// on lookup.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +74,8 @@ class KnowledgePool {
   };
 
   /// Loads the newest parseable generation when `options.path` names a
-  /// file (missing files are a normal first boot, not an error).
+  /// file (missing files are a normal first boot, not an error), after
+  /// sweeping stale `path`.tmp.<pid> files.
   explicit KnowledgePool(Options options);
 
   /// Inserts (or, same donor, replaces) an entry.  The representative
@@ -93,9 +94,9 @@ class KnowledgePool {
   std::size_t size() const;
   const Options& options() const { return options_; }
 
-  /// Persists the pool (no-op, true, when memory-only).  Rotates
-  /// generations and writes tmp+rename; false on I/O failure (the
-  /// in-memory pool stays intact).
+  /// Persists the pool (no-op, true, when memory-only): temp file first,
+  /// then rotation and rename.  False on I/O failure (the in-memory pool
+  /// stays intact; a failed temp write leaves every generation as it was).
   bool save() const;
 
   /// Normalized distance between two feature vectors over the
@@ -111,7 +112,6 @@ class KnowledgePool {
                                                      std::size_t cap);
 
  private:
-  std::string generation_path(std::size_t generation) const;
   void load_from_disk();
 
   Options options_;

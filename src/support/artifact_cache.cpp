@@ -1,26 +1,23 @@
 #include "support/artifact_cache.hpp"
 
-#include <unistd.h>
-
-#include <cstdlib>
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "observability/metrics.hpp"
 #include "support/chaos.hpp"
 #include "support/env.hpp"
-#include "support/hash.hpp"
 #include "support/log.hpp"
-#include "support/serialize.hpp"
-#include "support/strings.hpp"
+#include "support/sealed_file.hpp"
 
 namespace socrates {
 
 namespace {
 
+// v2: the sealed-file envelope, tagged with the key in decimal.  A v1 file
+// is a corrupted-file miss: the stage recomputes and overwrites it.
 constexpr const char* kMagic = "socrates-artifact";
-constexpr const char* kVersion = "v1";
+constexpr const char* kVersion = "v2";
 
 std::string sanitize_label(std::string_view label) {
   std::string out;
@@ -37,20 +34,10 @@ std::string sanitize_label(std::string_view label) {
 
 ArtifactCache::ArtifactCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
   if (dir_.empty()) return;
-  // Sweep temp files a killed process left behind.  A live writer's
-  // temp can in principle be swept too; it then fails its rename and
-  // recomputes — graceful either way (see the rename error path below).
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return;  // directory does not exist yet (created on first store)
-  std::size_t swept = 0;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (!contains(name, ".artifact.tmp.")) continue;
-    std::filesystem::remove(entry.path(), ec);
-    if (!ec) ++swept;
-  }
+  // Sweep temp files a killed process left behind.  Only artifact temps:
+  // the directory may be shared (e.g. /tmp).  A live writer's temp can
+  // in principle be swept too; it then fails its rename and recomputes.
+  const std::size_t swept = sealed::sweep_stale_tmps(dir_ + "/*.artifact");
   if (swept > 0) {
     stats_.swept_tmp_files = swept;
     MetricsRegistry::global().counter("cache.tmp_files_swept").add(swept);
@@ -83,39 +70,24 @@ std::optional<std::string> ArtifactCache::load(std::uint64_t key,
   }
   if (!dir_.empty()) {
     const std::string path = file_path(key, label);
-    std::ifstream in(path, std::ios::binary);
-    if (in && ChaosEngine::global().corrupt_read("cache.read")) {
-      // Injected read error: behave exactly like a corrupted file — a
-      // miss, never an exception (the stage recomputes).
-      log_warn() << "artifact cache: chaos-injected read error on " << path;
-      in.setstate(std::ios::failbit);
-      MetricsRegistry::global().counter("cache.corrupted_files").add(1);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.misses;
-      MetricsRegistry::global().counter("cache.misses").add(1);
-      return std::nullopt;
-    }
-    if (in) {
-      // Header: magic version key-hex payload-size payload-hash-hex
-      std::string magic, version, key_text, size_text, hash_text;
-      if (in >> magic >> version >> key_text >> size_text >> hash_text &&
-          magic == kMagic && version == kVersion) {
-        in.get();  // the single separator newline
-        char* end = nullptr;
-        const std::uint64_t stored_key = std::strtoull(key_text.c_str(), &end, 16);
-        const unsigned long long size = std::strtoull(size_text.c_str(), nullptr, 10);
-        const std::uint64_t payload_hash = std::strtoull(hash_text.c_str(), nullptr, 16);
-        std::optional<std::string> payload = read_claimed_payload(in, size);
-        if (payload && stored_key == key && stable_hash64(*payload) == payload_hash) {
-          std::lock_guard<std::mutex> lock(mu_);
-          memory_.emplace(key, *payload);
-          ++stats_.disk_hits;
-          MetricsRegistry::global().counter("cache.disk_hits").add(1);
-          MetricsRegistry::global().counter("cache.bytes_loaded").add(payload->size());
-          return payload;
-        }
+    sealed::File file = sealed::read(path, kMagic, kVersion);
+    if (file.status != sealed::File::Status::kMissing) {
+      if (ChaosEngine::global().corrupt_read("cache.read")) {
+        // Injected read error: behave exactly like a corrupted file — a
+        // miss, never an exception (the stage recomputes).
+        log_warn() << "artifact cache: chaos-injected read error on " << path;
+      } else if (file.status == sealed::File::Status::kOk &&
+                 file.tag == std::to_string(key)) {
+        std::lock_guard<std::mutex> lock(mu_);
+        memory_.emplace(key, file.payload);
+        ++stats_.disk_hits;
+        MetricsRegistry::global().counter("cache.disk_hits").add(1);
+        MetricsRegistry::global().counter("cache.bytes_loaded").add(file.payload.size());
+        return std::move(file.payload);
+      } else {
+        log_warn() << "artifact cache: ignoring corrupted file " << path << " ("
+                   << (file.reason.empty() ? "key mismatch" : file.reason) << ")";
       }
-      log_warn() << "artifact cache: ignoring corrupted file " << path;
       MetricsRegistry::global().counter("cache.corrupted_files").add(1);
     }
   }
@@ -141,43 +113,19 @@ void ArtifactCache::store(std::uint64_t key, std::string_view label,
     return;
   }
   const std::string path = file_path(key, label);
-  // Per-process temp name: concurrent writers of the same artifact
-  // (e.g. two bench binaries racing on a cold cache) publish atomically
-  // via rename and the loser's bytes simply win — same content anyway.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  if (ChaosEngine::global().fail_write("cache.write")) {
-    // ENOSPC-style short write: some bytes land in the temp file, the
-    // write "fails", and nothing may be published.
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      out.write(payload.data(), static_cast<std::streamsize>(payload.size() / 2));
-    }
-    log_warn() << "artifact cache: chaos-injected short write, discarding " << tmp;
+  // Concurrent writers of one artifact (two benches racing on a cold
+  // cache) publish atomically; the loser's bytes win — same content.  An
+  // injected cache-write fault fails like ENOSPC before any byte lands.
+  const sealed::WriteStatus written =
+      ChaosEngine::global().fail_write("cache.write")
+          ? sealed::WriteStatus{sealed::WriteStatus::Step::kWrite, ENOSPC}
+          : sealed::write_tmp(
+                path, sealed::seal(kMagic, kVersion, std::to_string(key), payload), false);
+  if (!written) {
+    log_warn() << "artifact cache: cannot write " << path << " (" << written.message()
+               << "), keeping what is on disk";
     MetricsRegistry::global().counter("cache.store_failures").add(1);
-    std::filesystem::remove(tmp, ec);
     return;
-  }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      log_warn() << "artifact cache: cannot write " << tmp;
-      return;
-    }
-    out << kMagic << ' ' << kVersion << ' ' << std::hex << key << std::dec << ' '
-        << payload.size() << ' ' << std::hex << stable_hash64(payload) << std::dec
-        << '\n';
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      // A short write (disk full, I/O error) must never be published: a
-      // rename here could replace a complete artifact with a truncated
-      // one.  Drop the temp file and keep whatever is already on disk.
-      out.close();
-      log_warn() << "artifact cache: short write, discarding " << tmp;
-      MetricsRegistry::global().counter("cache.store_failures").add(1);
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
   }
   if (ChaosEngine::global().drop_rename("cache.tmp")) {
     // Simulated kill between the temp write and the rename: the temp
@@ -186,10 +134,9 @@ void ArtifactCache::store(std::uint64_t key, std::string_view label,
     log_warn() << "artifact cache: chaos-injected crash before publishing " << path;
     return;
   }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    log_warn() << "artifact cache: cannot publish " << path << ": " << ec.message();
-    std::filesystem::remove(tmp, ec);
+  if (const auto published = sealed::publish_tmp(path, 1, false); !published) {
+    log_warn() << "artifact cache: cannot publish " << path << ": "
+               << published.message();
     return;
   }
   MetricsRegistry::global().counter("cache.bytes_stored").add(payload.size());

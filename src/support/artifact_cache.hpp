@@ -9,9 +9,10 @@
 // recomputing it; a bench binary started later finds the artifacts of
 // an earlier one through the disk tier.
 //
-// The cache is defensive by construction: a corrupted, truncated or
-// hand-edited disk file fails its checksum and is treated as a miss
-// (the stage recomputes), never as an error.
+// The cache is defensive by construction: a disk file is a sealed file
+// (support/sealed_file.hpp) tagged with its key, and a corrupted,
+// truncated or hand-edited one fails verification and is treated as a
+// miss (the stage recomputes), never as an error.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +29,10 @@ class ArtifactCache {
  public:
   /// `disk_dir` empty -> memory-only.  The directory is created on the
   /// first store.  When the directory already exists, construction
-  /// sweeps stale `*.tmp.<pid>` files a killed writer left behind (a
-  /// crash between the temp write and the rename) — they can never be
-  /// published, so they are deleted and counted in swept_tmp_files().
+  /// sweeps stale `*.artifact.tmp.<pid>` files a killed writer left
+  /// behind (a crash between the temp write and the rename) — they can
+  /// never be published, so they are deleted and counted in
+  /// swept_tmp_files().  Other files in the directory are left alone.
   explicit ArtifactCache(std::string disk_dir = "");
 
   /// The payload stored under `key`, or nullopt.  `label` is the
@@ -55,8 +57,6 @@ class ArtifactCache {
   /// Drops the in-memory tier (disk files stay).  Tests use this to
   /// exercise the disk path.
   void clear_memory();
-
-  const std::string& disk_dir() const { return dir_; }
 
   /// Process-wide cache: disk tier rooted at $SOCRATES_CACHE_DIR when
   /// the variable is set, memory-only otherwise.

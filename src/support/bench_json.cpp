@@ -1,19 +1,16 @@
 #include "support/bench_json.hpp"
 
-#include <unistd.h>
-
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/number.hpp"
+#include "support/sealed_file.hpp"
 
 namespace socrates {
 
@@ -342,31 +339,12 @@ std::string bench_json_path(std::string_view name) {
 
 bool write_bench_json(std::string_view name, const std::string& json) {
   const std::string path = bench_json_path(name);
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      log_warn() << "bench_json: cannot write " << tmp;
-      return false;
-    }
-    out << json << '\n';
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      log_warn() << "bench_json: short write on " << tmp;
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    log_warn() << "bench_json: cannot publish " << path << ": " << ec.message();
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  log_info() << "bench_json: wrote " << path;
-  return true;
+  const auto published = sealed::publish(path, json + "\n", 1, false);
+  if (published)
+    log_info() << "bench_json: wrote " << path;
+  else
+    log_warn() << "bench_json: cannot write " << path << ": " << published.message();
+  return static_cast<bool>(published);
 }
 
 }  // namespace socrates

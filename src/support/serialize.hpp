@@ -10,18 +10,12 @@
 // no other machine could read.  The "0x" prefix is kept on output so
 // existing artifacts and new ones share one shape, and the parser
 // accepts both prefixed and bare mantissas.
-//
-// Every on-disk format (artifacts, checkpoint snapshots, the pool) puts
-// a text header with the payload size in front of the payload;
-// read_claimed_payload reads it without trusting that size.
+// The files carrying these payloads are sealed (support/sealed_file.hpp).
 #pragma once
 
 #include <charconv>
 #include <cmath>
-#include <cstdint>
-#include <ios>
 #include <istream>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -54,26 +48,6 @@ inline double parse_exact_text(std::string_view token) {
   SOCRATES_REQUIRE_MSG(res.ec == std::errc{} && res.ptr == body.data() + body.size(),
                        "malformed double in artifact");
   return negative ? -v : v;
-}
-
-/// Reads the `size` payload bytes a file header announced, starting at
-/// the current position of `in`.  The claim is checked against the
-/// bytes left in the stream before anything is allocated, so a corrupt
-/// header cannot make the reader allocate more than the file holds.
-/// Returns nullopt when fewer than `size` bytes remain.
-inline std::optional<std::string> read_claimed_payload(std::istream& in,
-                                                       std::uint64_t size) {
-  const std::streamoff start = in.tellg();
-  if (start < 0) return std::nullopt;
-  in.seekg(0, std::ios::end);
-  const std::streamoff end = in.tellg();
-  in.seekg(start);
-  if (!in || end < start || size > static_cast<std::uint64_t>(end - start))
-    return std::nullopt;
-  std::string payload(static_cast<std::size_t>(size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(in.gcount()) != size) return std::nullopt;
-  return payload;
 }
 
 inline double parse_exact(std::istream& in) {

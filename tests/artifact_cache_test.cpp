@@ -159,6 +159,37 @@ TEST_F(DiskCacheTest, HeaderClaimingMoreBytesThanTheFileIsACorruptedMiss) {
   EXPECT_EQ(cache.load(12, "dse-profile"), std::optional<std::string>("twelve bytes!"));
 }
 
+TEST_F(DiskCacheTest, VersionOneFileIsACorruptedMissThatTheNextStoreOverwrites) {
+  // The header before artifacts became sealed files: v1, the key in hex.
+  fs::create_directories(dir_);
+  const fs::path file = dir_ / "dse-profile-e.artifact";
+  std::ofstream(file, std::ios::binary) << "socrates-artifact v1 e 4 0\nbody";
+  ArtifactCache cache(dir_.string());
+  Counter& corrupted = MetricsRegistry::global().counter("cache.corrupted_files");
+  const std::uint64_t corrupted_before = corrupted.value();
+  EXPECT_FALSE(cache.load(14, "dse-profile").has_value());
+  EXPECT_EQ(corrupted.value(), corrupted_before + 1);
+
+  cache.store(14, "dse-profile", "body");
+  std::ifstream in(file, std::ios::binary);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header.rfind("socrates-artifact v2 14 4 ", 0), 0u) << header;
+  cache.clear_memory();
+  EXPECT_EQ(cache.load(14, "dse-profile"), std::optional<std::string>("body"));
+}
+
+TEST_F(DiskCacheTest, FileUnderAnotherKeyIsACorruptedMiss) {
+  // A sealed artifact whose tag names another key (a renamed or copied
+  // file): the envelope verifies, the key check refuses it.
+  ArtifactCache cache(dir_.string());
+  cache.store(15, "dse-profile", "fifteen");
+  fs::copy_file(dir_ / "dse-profile-f.artifact", dir_ / "dse-profile-10.artifact");
+  cache.clear_memory();
+  EXPECT_FALSE(cache.load(16, "dse-profile").has_value());
+  EXPECT_EQ(cache.load(15, "dse-profile"), std::optional<std::string>("fifteen"));
+}
+
 TEST_F(DiskCacheTest, LeftoverTempFilesAreHarmless) {
   // A crashed writer leaves its per-pid temp file behind; loads must
   // ignore it and later stores must still publish the real name.

@@ -5,12 +5,16 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "observability/metrics.hpp"
 #include "support/artifact_cache.hpp"
 #include "support/chaos.hpp"
 #include "support/error.hpp"
+#include "support/sealed_file.hpp"
 
 namespace socrates {
 namespace {
@@ -254,11 +258,15 @@ TEST_F(ChaosCacheTest, InjectedShortWritePublishesNothing) {
   spec.cache_write = 1.0;
   ChaosEngine::global().install(spec);
 
+  Counter& failures = MetricsRegistry::global().counter("cache.store_failures");
+  const std::uint64_t failures_before = failures.value();
   ArtifactCache cache(dir_.string());
   cache.store(1, "thing", "payload-bytes");
   ChaosEngine::global().disarm();
+  EXPECT_EQ(failures.value(), failures_before + 1);
 
-  // Nothing was published to disk; only the memory tier has it.
+  // Nothing was published to disk, and no temp file was left behind;
+  // only the memory tier has it.
   cache.clear_memory();
   EXPECT_FALSE(cache.load(1, "thing").has_value());
   for (const auto& entry : fs::directory_iterator(dir_))
@@ -294,9 +302,16 @@ TEST_F(ChaosCacheTest, DroppedRenameLeavesATmpFileTheNextCacheSweeps) {
   // The writer "died" before the rename: a stale temp file remains and
   // the artifact was never published.
   std::size_t tmp_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir_))
-    if (entry.path().filename().string().find(".artifact.tmp.") != std::string::npos)
-      ++tmp_files;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().filename().string().find(".artifact.tmp.") == std::string::npos)
+      continue;
+    ++tmp_files;
+    // The temp file is complete — only the rename never happened.
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, sealed::seal("socrates-artifact", "v2", "3", "payload-bytes"));
+  }
   EXPECT_EQ(tmp_files, 1u);
   cache.clear_memory();
   EXPECT_FALSE(cache.load(3, "thing").has_value());

@@ -10,7 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
+#include <string_view>
 
 #include "margot/asrtm.hpp"
 #include "margot/checkpoint.hpp"
@@ -571,6 +573,57 @@ TEST_F(CheckpointTest, PayloadSizeBeyondTheFileIsACleanFreshStart) {
   EXPECT_EQ(result.rung, RecoveryRung::kFreshStart) << result.note;
   EXPECT_NE(result.note.find("fresh start"), std::string::npos) << result.note;
   EXPECT_DOUBLE_EQ(asrtm.correction(0), 1.0);
+}
+
+// A snapshot exactly as the checkpoint writer put it on disk before it
+// moved onto the sealed-file module (support/sealed_file.hpp), for the
+// mutate() workload and a clean detach().  Learned state on disk must
+// keep restoring on the newest rung, and today's writer must still
+// produce these bytes.
+constexpr std::string_view kGoldenSnapshot =
+    "socrates-checkpoint v2 1 162 298a2dc44de2d0cb\n"
+    "alpha 0.29999999999999999\n"
+    "quarantine 2 8 512\n"
+    "events 1\n"
+    "depoch 6\n"
+    "state \n"
+    "corrections 2 1.1829999999999998 1.046153846153846\n"
+    "health 4\n"
+    "0 0 0 0\n"
+    "0 1 7 0\n"
+    "0 0 0 0\n"
+    "0 0 0 0\n";
+
+TEST_F(CheckpointTest, GoldenSnapshotRestoresOnTheNewestRungAndIsWrittenByteForByte) {
+  const std::string_view payload = kGoldenSnapshot.substr(kGoldenSnapshot.find('\n') + 1);
+  EXPECT_EQ(stable_hash64(payload), 0x298a2dc44de2d0cbULL);
+  std::ofstream(path_, std::ios::binary) << kGoldenSnapshot;
+
+  Asrtm reference(make_kb());
+  mutate(reference);
+  Asrtm after(make_kb());
+  {
+    CheckpointStore store(path_);
+    const auto result = store.attach(after);
+    EXPECT_EQ(result.rung, RecoveryRung::kNewestSnapshot) << result.note;
+    EXPECT_TRUE(result.restored);
+    EXPECT_EQ(result.replayed, 0u);
+    EXPECT_EQ(store.epoch(), 1u);
+    expect_same_learned_state(reference, after);
+  }
+
+  const std::string fresh = (dir_ / "fresh.ckpt").string();
+  {
+    Asrtm asrtm(make_kb());
+    CheckpointStore store(fresh);
+    store.attach(asrtm);
+    mutate(asrtm);
+    store.detach();
+  }
+  std::ifstream in(fresh, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, kGoldenSnapshot);
 }
 
 TEST_F(CheckpointTest, DiskFullEntersDegradedModeThenRecoversWithAFullSnapshot) {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "server/server.hpp"
 #include "support/chaos.hpp"
 #include "support/error.hpp"
+#include "support/sealed_file.hpp"
 
 namespace socrates::server {
 namespace {
@@ -195,9 +197,10 @@ TEST_F(KnowledgePoolTest, CorruptNewestGenerationFallsBackToOlder) {
     ASSERT_TRUE(pool.save());  // rotates the first save to pool.kp.1
   }
   ASSERT_TRUE(fs::exists(pool_path() + ".1"));
-  {  // torch the newest generation mid-payload
+  {  // torch the newest generation mid-payload: a well-formed header
+     // that claims more payload bytes than the file holds
     std::ofstream out(pool_path(), std::ios::binary | std::ios::trunc);
-    out << "socrates-pool v1 999999 12345\ngarbage";
+    out << "socrates-pool v2 0 999999 3039\ngarbage";
   }
   KnowledgePool recovered(opts);
   EXPECT_EQ(recovered.size(), 1u);
@@ -209,6 +212,45 @@ TEST_F(KnowledgePoolTest, CorruptNewestGenerationFallsBackToOlder) {
   }
   KnowledgePool empty(opts);
   EXPECT_EQ(empty.size(), 0u);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(KnowledgePoolTest, FailedSaveKeepsEveryGeneration) {
+  KnowledgePool::Options opts{.path = pool_path(), .generations = 2};
+  KnowledgePool pool(opts);
+  pool.publish(make_entry("first", 4.0));
+  ASSERT_TRUE(pool.save());
+  pool.publish(make_entry("second", 1000.0));
+  ASSERT_TRUE(pool.save());
+  const std::string newest = file_bytes(pool_path());
+  const std::string older = file_bytes(pool_path() + ".1");
+  ASSERT_FALSE(older.empty());
+
+  // The temp file cannot be opened: a non-empty directory holds its name.
+  const fs::path blocker = sealed::tmp_path(pool_path());
+  fs::create_directories(blocker / "occupied");
+  pool.publish(make_entry("third", 2000000.0));
+  EXPECT_FALSE(pool.save());
+  EXPECT_EQ(file_bytes(pool_path()), newest);
+  EXPECT_EQ(file_bytes(pool_path() + ".1"), older);
+  fs::remove_all(blocker);
+}
+
+TEST_F(KnowledgePoolTest, StaleTempFilesAreSweptAtConstruction) {
+  // A process killed mid-save left its temp file; another pool's temp
+  // in the same directory is not this pool's to remove.
+  const std::string stale = pool_path() + ".tmp.4242";
+  const std::string other = (dir_ / "xpool.kp.tmp.4242").string();
+  std::ofstream(stale, std::ios::binary) << "socrates-pool v2 0 999 1\ntorn";
+  std::ofstream(other, std::ios::binary) << "someone else's";
+  KnowledgePool pool({.path = pool_path()});
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_TRUE(fs::exists(other));
+  EXPECT_EQ(pool.size(), 0u);
 }
 
 // ---- chaos -------------------------------------------------------------------------
