@@ -2,14 +2,15 @@
 // emitting BENCH_decision_sweep.json (support/bench_json.hpp).
 //
 // Geometry is pinned to the tentpole target: 1024 tenants, each with a
-// 256-point knowledge base.  After a warm sweep publishes every
-// tenant's decision, the steady state is measured two ways:
+// 256-point knowledge base.  Registration publishes every tenant's
+// decision; after a warm-up, the steady state is measured two ways:
 //
-//   percall  srv.decide(handle) per tenant — takes the tenant lock,
-//            serves the cached decision, republishes.
-//   batch    srv.decide_batch(handles, out) — one sweep over the
-//            published (best, stamp) pairs; with no concurrent
-//            mutations every tenant is served lock-free.
+//   percall  srv.decide(handle) per tenant — takes the tenant lock and
+//            serves the AS-RTM's epoch-cached decision.
+//   batch    srv.decide_batch(handles, out) — one load of each
+//            tenant's published decision, which the write path keeps
+//            current, so every tenant is served lock-free and
+//            lockfree_fraction is 1 by construction.
 //
 // The pinned assertions behind the `decision_sweep_bench_smoke` CTest
 // entry: batch throughput >= 5x per-call throughput, zero allocations
@@ -123,17 +124,13 @@ int main(int argc, char** argv) {
     handles.push_back(handle);
   }
 
-  // Warm sweep: publishes every tenant's decision, sizes the scratch
-  // buffers, and touches the function-local static metric counters on
-  // both paths so the measured loops are pure steady state.  Two
-  // per-call rounds: the first decide per tenant is the cold one, and
-  // only the second (cached) round registers the cached-decision
-  // counter with the metrics registry.
+  // Warm-up: registration already made every tenant's cold decision
+  // and published it; one round of each path touches the
+  // function-local static metric counters (the cached-decision one
+  // included) so the measured loops are pure steady state.
   std::vector<std::size_t> expected(kTenants, 0);
   std::vector<std::size_t> batch_best(kTenants, 0);
-  for (int round = 0; round < 2; ++round)
-    for (std::size_t t = 0; t < kTenants; ++t)
-      expected[t] = srv.decide(handles[t]);
+  for (std::size_t t = 0; t < kTenants; ++t) expected[t] = srv.decide(handles[t]);
   (void)srv.decide_batch(handles, batch_best);
 
   // Best-of-trials damps scheduler noise without needing a quiet host;

@@ -164,6 +164,25 @@ std::string Server::checkpoint_path(const std::string& name) const {
   return options_.checkpoint_dir + "/" + sanitize(name) + ".ckpt";
 }
 
+void Server::publish_decision(Tenant& tenant, const margot::Asrtm& asrtm) {
+  static Counter& published_c =
+      MetricsRegistry::global().counter("server.decisions_published");
+  tenant.pub_best.store(asrtm.find_best_operating_point(), std::memory_order_release);
+  published_c.add(1);
+}
+
+template <typename Fn>
+void Server::mutate(Tenant& tenant, Fn&& fn) {
+  const std::uint64_t epoch = tenant.asrtm->decision_epoch();
+  try {
+    fn();
+  } catch (...) {
+    if (tenant.asrtm->decision_epoch() != epoch) publish_decision(tenant, *tenant.asrtm);
+    throw;
+  }
+  if (tenant.asrtm->decision_epoch() != epoch) publish_decision(tenant, *tenant.asrtm);
+}
+
 void Server::build_tenant_runtime(Tenant& tenant) {
   // Build the replacement runtime off to the side first: a throwing
   // Asrtm constructor or tenant configure functor must leave the live
@@ -182,10 +201,10 @@ void Server::build_tenant_runtime(Tenant& tenant) {
     store->attach(*asrtm);
     tenant.store = std::move(store);
   }
+  // The new runtime's epoch says nothing about the old one's, so a
+  // build always decides, before the swap.
+  publish_decision(tenant, *asrtm);
   tenant.asrtm = std::move(asrtm);
-  // A rebuilt runtime invalidates any published decision: bump the
-  // mutation stamp so batch sweeps fall back to a locked decide.
-  tenant.mutation_stamp.fetch_add(1, std::memory_order_release);
 }
 
 bool Server::register_tenant(const std::string& name, margot::KnowledgeBase knowledge,
@@ -308,7 +327,8 @@ CreateResult Server::create_tenant(const std::string& name,
     result.warm_posterior.clear();
     return result;
   }
-  // Publish after the entry is fully built: readers gate on tenant_count_.
+  // Publish after the entry is fully built and its first decision
+  // published: readers gate on tenant_count_.
   tenant_count_.store(slot + 1, std::memory_order_release);
   MetricsRegistry::global().gauge("server.tenants").set(
       static_cast<double>(slot + 1));
@@ -386,6 +406,7 @@ Admission Server::submit_feedback(TenantHandle handle, std::size_t op_index,
     const PushResult result =
         push_with_policy(*shard.ring, event, options_.policy, &shutdown_);
     if (result.shed > 0) {
+      evicted_.fetch_add(result.shed, std::memory_order_relaxed);
       shed_.fetch_add(result.shed, std::memory_order_relaxed);
       shed_c.add(result.shed);
     }
@@ -403,37 +424,13 @@ Admission Server::submit_feedback(TenantHandle handle, std::size_t op_index,
   return Admission::kShed;
 }
 
-std::size_t Server::decide_locked(Tenant& tenant) {
-  // Caller holds tenant.mu, so mutation_stamp cannot move while we
-  // decide (mutators bump it under the same lock).
-  const std::uint64_t stamp = tenant.mutation_stamp.load(std::memory_order_relaxed);
-  const std::size_t best = tenant.asrtm->find_best_operating_point();
-  // Publish best first, stamp second: sweeps read the stamp first, so
-  // a stamp match guarantees the best they read is at least this new.
-  tenant.pub_best.store(best, std::memory_order_release);
-  tenant.pub_stamp.store(stamp, std::memory_order_release);
-  return best;
-}
-
-bool Server::decide_one(Tenant& tenant, std::size_t& out) {
-  const std::uint64_t published = tenant.pub_stamp.load(std::memory_order_acquire);
-  const std::size_t best = tenant.pub_best.load(std::memory_order_acquire);
-  if (published == tenant.mutation_stamp.load(std::memory_order_acquire)) {
-    out = best;
-    return true;
-  }
-  std::lock_guard<std::mutex> lock(tenant.mu);
-  out = decide_locked(tenant);
-  return false;
-}
-
 std::size_t Server::decide(TenantHandle handle) {
   SOCRATES_REQUIRE(handle < tenant_count());
   Tenant& tenant = *tenants_[handle];
   static Counter& decisions_c = MetricsRegistry::global().counter("server.decisions");
   decisions_c.add(1);
   std::lock_guard<std::mutex> lock(tenant.mu);
-  return decide_locked(tenant);
+  return tenant.asrtm->find_best_operating_point();
 }
 
 std::size_t Server::decide_batch(std::span<const TenantHandle> handles,
@@ -447,17 +444,14 @@ std::size_t Server::decide_batch(std::span<const TenantHandle> handles,
       MetricsRegistry::global().counter("server.batch_decisions");
   static Counter& lockfree_c =
       MetricsRegistry::global().counter("server.batch_lockfree");
-  static Counter& locked_c = MetricsRegistry::global().counter("server.batch_locked");
-  std::size_t lockfree = 0;
   for (std::size_t i = 0; i < handles.size(); ++i) {
     SOCRATES_REQUIRE(handles[i] < count);
-    lockfree += decide_one(*tenants_[handles[i]], out[i]);
+    out[i] = tenants_[handles[i]]->pub_best.load(std::memory_order_acquire);
   }
   sweeps_c.add(1);
   decisions_c.add(handles.size());
-  lockfree_c.add(lockfree);
-  locked_c.add(handles.size() - lockfree);
-  return lockfree;
+  lockfree_c.add(handles.size());
+  return handles.size();
 }
 
 std::size_t Server::decide_shard(std::size_t shard,
@@ -470,9 +464,7 @@ std::size_t Server::decide_shard(std::size_t shard,
       MetricsRegistry::global().counter("server.batch_decisions");
   static Counter& lockfree_c =
       MetricsRegistry::global().counter("server.batch_lockfree");
-  static Counter& locked_c = MetricsRegistry::global().counter("server.batch_locked");
   std::size_t written = 0;
-  std::size_t lockfree = 0;
   for (std::size_t slot = 0; slot < count; ++slot) {
     Tenant& tenant = *tenants_[slot];
     if (tenant.shard != shard) continue;
@@ -480,13 +472,12 @@ std::size_t Server::decide_shard(std::size_t shard,
         written < out_handles.size() && written < out_best.size(),
         "decide_shard output spans too small for shard " << shard);
     out_handles[written] = slot;
-    lockfree += decide_one(tenant, out_best[written]);
+    out_best[written] = tenant.pub_best.load(std::memory_order_acquire);
     ++written;
   }
   sweeps_c.add(1);
   decisions_c.add(written);
-  lockfree_c.add(lockfree);
-  locked_c.add(written - lockfree);
+  lockfree_c.add(written);
   return written;
 }
 
@@ -520,8 +511,9 @@ Admission Server::update_goal(TenantHandle handle, std::size_t constraint_handle
     tenant.breaker.record_ok(now);
   }
   std::lock_guard<std::mutex> lock(tenant.mu);
-  tenant.asrtm->set_constraint_goal(constraint_handle, goal);
-  tenant.mutation_stamp.fetch_add(1, std::memory_order_release);
+  // The re-decision consumes the goal's trigger note, so a decision
+  // journal labels the switch with this update.
+  mutate(tenant, [&] { tenant.asrtm->set_constraint_goal(constraint_handle, goal); });
   return Admission::kAccepted;
 }
 
@@ -585,20 +577,21 @@ void Server::shard_worker(std::size_t index) {
         tenant.breaker.force_open(now_s());
       };
       try {
+        // One re-decision per group that moved the epoch, made here on
+        // the shard thread; a partial (quarantined) apply republishes
+        // too.
         std::lock_guard<std::mutex> lock(tenant.mu);
-        for (std::size_t k = i; k < j; ++k) {
-          tenant.asrtm->send_feedback(batch[k].op, batch[k].metric, batch[k].value);
-          ++applied;
-        }
+        mutate(tenant, [&] {
+          for (std::size_t k = i; k < j; ++k) {
+            tenant.asrtm->send_feedback(batch[k].op, batch[k].metric, batch[k].value);
+            ++applied;
+          }
+        });
       } catch (const std::exception& e) {
         quarantine(e.what());
       } catch (...) {
         quarantine("non-standard exception");
       }
-      // Bump even on a partial (quarantined) apply: any feedback that
-      // landed invalidates the published decision.  A bump after the
-      // unlock can only cost a fast path, never serve a stale best.
-      if (applied > 0) tenant.mutation_stamp.fetch_add(1, std::memory_order_release);
       const std::uint64_t total =
           tenant.applied.fetch_add(applied, std::memory_order_relaxed) + applied;
       // Convergence donation: once enough feedback has been applied the
@@ -744,8 +737,10 @@ bool Server::drain(double timeout_s) {
       drained += shard->drained.load(std::memory_order_acquire);
       empty = empty && shard->ring->empty();
     }
-    const std::uint64_t shed = shed_.load(std::memory_order_acquire);
-    if (empty && drained + shed >= accepted) return true;
+    // Counting kReject refusals here would let drain() return while a
+    // shard still holds popped but unapplied events.
+    const std::uint64_t evicted = evicted_.load(std::memory_order_acquire);
+    if (empty && drained + evicted >= accepted) return true;
     if (steady_now_s() >= deadline) return false;
     sleep_s(0.0001);
   }
@@ -843,9 +838,7 @@ void Server::with_tenant(TenantHandle handle,
   SOCRATES_REQUIRE(fn != nullptr);
   Tenant& tenant = *tenants_[handle];
   std::lock_guard<std::mutex> lock(tenant.mu);
-  fn(*tenant.asrtm);
-  // The functor may have mutated the runtime arbitrarily.
-  tenant.mutation_stamp.fetch_add(1, std::memory_order_release);
+  mutate(tenant, [&] { fn(*tenant.asrtm); });
 }
 
 void Server::inject_stall(std::size_t shard, double seconds) {

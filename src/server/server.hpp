@@ -14,11 +14,11 @@
 //       the ring and applies events to the AS-RTM, where group-commit
 //       checkpointing (margot/checkpoint.hpp) journals them.
 //
-//   decision (read) — decide() takes the tenant lock and serves the
-//       O(1) epoch-cached find_best_operating_point(); feedback that
-//       did not move a correction past the decision epsilon never
-//       invalidates the cache, so decisions stay cheap while feedback
-//       floods.
+//   decision (read) — every writer of a tenant's AS-RTM re-decides
+//       under the tenant lock whenever the decision epoch moved and
+//       publishes the result, so decide_batch/decide_shard serve each
+//       tenant with one lock-free load.  decide() takes the lock and
+//       asks the AS-RTM, which answers from its O(1) epoch cache.
 //
 // Robustness mechanisms (contract in docs/SERVER.md):
 //   - per-tenant TokenBucket rate limiting and a max_tenants admission
@@ -42,7 +42,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -239,24 +238,21 @@ class Server {
 
   /// Batched decision sweep: writes the best operating point of
   /// handles[i] to out[i] (out must be at least handles.size() long).
-  /// Every locked decide publishes its result stamped with the
-  /// tenant's mutation stamp; a sweep serves tenants whose stamp has
-  /// not moved straight from that published pair — no tenant lock, no
-  /// AS-RTM call, no allocation — and takes the lock once only for
-  /// tenants whose decision inputs actually changed since.  At steady
-  /// state a sweep is therefore three atomic loads per tenant, which
-  /// is what makes per-invocation decision overhead affordable for
-  /// short-running kernels (ROADMAP item 1 / item 3).  Returns the
-  /// number of tenants served lock-free; bumps the server.batch_*
-  /// metrics.  Safe to call concurrently with feedback, goal updates
-  /// and shard restarts.
+  /// Each tenant costs one atomic load of its published decision — no
+  /// tenant lock, no AS-RTM call, no allocation — because the write
+  /// path already re-decided under the lock whenever the decision
+  /// inputs moved.  That is what makes per-invocation decision overhead
+  /// affordable for short-running kernels.  Returns the number of
+  /// tenants served lock-free, which is always handles.size(); bumps
+  /// the server.batch_* metrics.  Safe to call concurrently with
+  /// feedback, goal updates and shard restarts.
   std::size_t decide_batch(std::span<const TenantHandle> handles,
                            std::span<std::size_t> out);
 
   /// Whole-shard sweep: decides every tenant living on `shard` (in
   /// slot order), writing its handle and best point to the parallel
   /// output spans.  Returns the number of tenants written; throws when
-  /// either span is too small.  Same fast path and metrics as
+  /// either span is too small.  Same lock-free path and metrics as
   /// decide_batch.
   std::size_t decide_shard(std::size_t shard, std::span<TenantHandle> out_handles,
                            std::span<std::size_t> out_best);
@@ -268,9 +264,9 @@ class Server {
                         double goal);
 
   // ---- flow control / persistence -------------------------------------
-  /// Blocks until every accepted event has been drained (applied or
-  /// shed) and the rings are empty, or `timeout_s` elapses.  True on
-  /// full drain.
+  /// Blocks until every accepted event has been applied or evicted
+  /// (kDropOldest) and the rings are empty, or `timeout_s` elapses.
+  /// True on full drain.
   bool drain(double timeout_s);
 
   /// Snapshots every tenant's checkpoint now (clean-shutdown point).
@@ -359,6 +355,12 @@ class Server {
     std::mutex mu;  ///< guards asrtm + store (shard worker vs. decide/goal)
     std::unique_ptr<margot::Asrtm> asrtm;
     std::unique_ptr<margot::CheckpointStore> store;  ///< null when not persisting
+    /// The served decision.  Invariant: whenever mu is free, pub_best
+    /// equals asrtm->find_best_operating_point().  Every writer of the
+    /// AS-RTM stores it (release) under mu before unlocking; sweeps
+    /// load it (acquire) without mu and never touch the asrtm pointer,
+    /// so a concurrent rebuild swap cannot be observed mid-free.
+    std::atomic<std::size_t> pub_best{0};
 
     std::mutex ingress_mu;  ///< guards bucket/breaker/goal window (submitters)
     TokenBucket bucket;
@@ -367,21 +369,6 @@ class Server {
     std::size_t goal_updates_in_window = 0;
 
     std::atomic<std::uint64_t> applied{0};
-
-    // Published decision for decide_batch's lock-free fast path.  A
-    // locked decide stores the chosen index (pub_best, release) and
-    // then the mutation stamp it decided under (pub_stamp, release);
-    // every locked mutation of the AS-RTM bumps mutation_stamp.  A
-    // sweep reads pub_stamp, pub_best, mutation_stamp in that order
-    // (all acquire): a stamp match proves the best it read was decided
-    // from inputs that have not moved since — without touching the
-    // asrtm pointer, so a concurrent shard-restart swap cannot be
-    // observed mid-free.
-    static constexpr std::uint64_t kNeverPublished =
-        std::numeric_limits<std::uint64_t>::max();
-    std::atomic<std::uint64_t> mutation_stamp{0};
-    std::atomic<std::uint64_t> pub_stamp{kNeverPublished};
-    std::atomic<std::size_t> pub_best{0};
 
     explicit Tenant(margot::KnowledgeBase kb) : knowledge(std::move(kb)) {}
   };
@@ -414,20 +401,23 @@ class Server {
   /// runtime kept for reads — and the remaining tenants still recover;
   /// the watchdog thread never sees the exception.
   void restart_shard(std::size_t index);
-  /// Builds a fresh AS-RTM (+ checkpoint store) for `tenant` and swaps
-  /// it in.  Strong-ish exception safety: if the AS-RTM construction or
-  /// configure functor throws, the tenant's previous runtime is left
-  /// untouched; only a throwing checkpoint attach can leave it on the
+  /// Builds a fresh AS-RTM (+ checkpoint store) for `tenant`, publishes
+  /// its first decision and swaps it in.  Strong-ish exception safety:
+  /// if the AS-RTM construction or configure functor throws, the
+  /// tenant's previous runtime and decision are left untouched; only a
+  /// throwing checkpoint attach or first decision can leave it on the
   /// old runtime without persistence.
   void build_tenant_runtime(Tenant& tenant);
   std::string checkpoint_path(const std::string& name) const;
-  /// Decides under the tenant lock (caller holds tenant.mu) and
-  /// publishes the result for the lock-free sweep path.
-  std::size_t decide_locked(Tenant& tenant);
-  /// One sweep step: serves the published decision when the mutation
-  /// stamp matches (returns true), otherwise takes the lock and
-  /// decides (returns false).
-  bool decide_one(Tenant& tenant, std::size_t& out);
+  /// Decides on `asrtm` and stores the result as `tenant`'s published
+  /// decision (server.decisions_published).  Caller holds tenant.mu,
+  /// or owns a tenant that no reader can see yet.
+  static void publish_decision(Tenant& tenant, const margot::Asrtm& asrtm);
+  /// Runs `fn` (a mutation of tenant.asrtm; caller holds tenant.mu)
+  /// and republishes when it moved the decision epoch — also when `fn`
+  /// throws, so the invariant on Tenant::pub_best holds at the unlock.
+  template <typename Fn>
+  static void mutate(Tenant& tenant, Fn&& fn);
   /// Merges a pool donor's representatives into `knowledge` (same knob
   /// config → metrics replaced, new config → appended).  Returns the
   /// number of donor points merged; 0 on schema mismatch.
@@ -464,6 +454,9 @@ class Server {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> shed_{0};
+  /// The kDropOldest part of shed_; drain() counts it, never a kReject
+  /// refusal, which was never accepted.
+  std::atomic<std::uint64_t> evicted_{0};
   std::atomic<std::uint64_t> rate_limited_{0};
   std::atomic<std::uint64_t> quarantined_{0};
   std::atomic<std::uint64_t> invalid_{0};

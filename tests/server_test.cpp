@@ -2,27 +2,35 @@
 // (server/server.hpp): token-bucket and circuit-breaker ingress
 // control, SOCRATES_SERVER_* knob parsing, feedback routing through
 // the sharded rings, watchdog-driven shard restarts with checkpoint
-// recovery, crash-equivalent destruction, and the programmatic chaos
-// sites (ServerChaos*, also run by the chaos-smoke CTest preset).
+// recovery, crash-equivalent destruction, the published decisions
+// that decide_batch/decide_shard serve (checked against the
+// synchronous reference in server_reference.hpp), and the programmatic
+// chaos sites (ServerChaos*, also run by the chaos-smoke CTest preset).
 #include <gtest/gtest.h>
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "margot/asrtm.hpp"
+#include "observability/metrics.hpp"
 #include "server/circuit_breaker.hpp"
 #include "server/server.hpp"
 #include "server/token_bucket.hpp"
+#include "server_reference.hpp"
 #include "support/chaos.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace socrates::server {
 namespace {
@@ -499,6 +507,44 @@ TEST_F(ServerTest, RejectPolicyShedsWhenTheRingIsFull) {
   EXPECT_EQ(stats.drained, accepted);  // accepted events all land eventually
 }
 
+TEST_F(ServerTest, RejectPolicyDrainWaitsForPoppedButUnappliedEvents) {
+  // Regression: refused events were counted against the accepted ones,
+  // so drain() returned while the shard still held the accepted events
+  // it had popped but not yet applied.
+  ServerOptions options = base_options();
+  options.shards = 1;
+  options.ring_capacity = 16;
+  options.policy = BackpressurePolicy::kReject;
+  Server server(options);
+  Server::TenantHandle h = 0;
+  ASSERT_TRUE(server.register_tenant("bursty", make_kb(), {}, &h));
+  server.inject_stall(0, 0.2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int i = 0; i < 64; ++i) (void)server.submit_feedback(h, 0, 0, 1.2);
+
+  // Hold the tenant lock: once the stall ends, the shard pops the
+  // accepted events and blocks on the lock before applying them.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    server.with_tenant(h, [&](margot::Asrtm&) {
+      holding.store(true);
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  });
+  while (!holding.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_FALSE(server.drain(0.1)) << "drain returned with popped events unapplied";
+  release.store(true);
+  holder.join();
+
+  ASSERT_TRUE(server.drain(5.0));
+  const Server::Stats stats = server.stats();
+  EXPECT_GT(stats.accepted, 0u);
+  EXPECT_EQ(stats.drained, stats.accepted);
+  EXPECT_EQ(stats.accepted + stats.shed, 64u);
+}
+
 TEST_F(ServerTest, DropOldestPolicyBoundsTheRingWithoutBlocking) {
   ServerOptions options = base_options();
   options.shards = 1;
@@ -634,6 +680,332 @@ TEST_F(ServerTest, CheckpointAllMakesShutdownLossless) {
   resumed.with_tenant(h, [&](margot::Asrtm& asrtm) {
     EXPECT_DOUBLE_EQ(asrtm.correction(0), correction_before);
   });
+}
+
+// ---- published decisions ----------------------------------------------------------
+
+/// 16 points: more threads run faster and draw more power.  Every mean
+/// time is below 1 s, so an observation of DBL_MAX overflows its ratio.
+KnowledgeBase make_tradeoff_kb() {
+  KnowledgeBase kb({"threads"}, {"exec_time_s", "power_w"});
+  for (std::size_t i = 0; i < 16; ++i) {
+    OperatingPoint op;
+    op.knobs = {static_cast<int>(i + 1)};
+    const double x = static_cast<double>(i);
+    op.metrics = {{0.9 - 0.05 * x, 0.01}, {40.0 + 4.0 * x, 0.5}};
+    kb.add(std::move(op));
+  }
+  return kb;
+}
+
+/// The fastest point under a 70 W cap (constraint 0).
+void configure_capped(margot::Asrtm& asrtm) {
+  asrtm.set_rank(Rank::minimize_exec_time(0));
+  asrtm.add_constraint({1, margot::ComparisonOp::kLess, 70.0, 0, 1.0});
+}
+
+/// Durable (group_commit = 1, so a restart loses no event), goal
+/// updates never count as flapping, and the watchdog fires only on an
+/// injected stall.
+ServerOptions publishing_options(ServerOptions o, const fs::path& checkpoint_dir) {
+  o.checkpoint_dir = checkpoint_dir.string();
+  o.checkpoint.group_commit = 1;
+  o.goal_update_threshold = std::size_t{1} << 20;
+  o.shard_stall_deadline_s = 0.3;
+  o.watchdog_period_s = 0.02;
+  o.restart_backoff_base_s = 0.0;
+  return o;
+}
+
+/// Stalls `shard` past the watchdog deadline and waits until its
+/// restart is counted.  The rebuilds run after the count; only the
+/// respawned worker proves them done.
+void force_restart(Server& server, std::size_t shard) {
+  const std::uint64_t restarts = server.stats().shard_restarts;
+  server.inject_stall(shard, 0.6);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (server.stats().shard_restarts == restarts &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(server.stats().shard_restarts, restarts) << "watchdog never fired";
+}
+
+/// decide_batch, decide_shard and decide all serve the reference's
+/// decision, and every correction matches it bit for bit.
+void expect_matches_reference(Server& server, const reference::ReferenceServer& ref,
+                              const std::vector<Server::TenantHandle>& handles) {
+  std::vector<std::size_t> batch(handles.size());
+  EXPECT_EQ(server.decide_batch(handles, batch), handles.size());
+  for (std::size_t t = 0; t < handles.size(); ++t) {
+    const margot::Asrtm& expected = ref.asrtm(t);
+    const std::size_t best = expected.find_best_operating_point();
+    EXPECT_EQ(batch[t], best) << "decide_batch, tenant " << t;
+    EXPECT_EQ(server.decide(handles[t]), best) << "decide, tenant " << t;
+    server.with_tenant(handles[t], [&](margot::Asrtm& asrtm) {
+      for (std::size_t m = 0; m < asrtm.knowledge().metric_names().size(); ++m)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(asrtm.correction(m)),
+                  std::bit_cast<std::uint64_t>(expected.correction(m)))
+            << "correction " << m << ", tenant " << t;
+    });
+  }
+  std::vector<Server::TenantHandle> shard_handles(handles.size());
+  std::vector<std::size_t> shard_best(handles.size());
+  std::size_t served = 0;
+  for (std::size_t s = 0; s < server.options().shards; ++s) {
+    const std::size_t n = server.decide_shard(s, shard_handles, shard_best);
+    for (std::size_t k = 0; k < n; ++k)
+      EXPECT_EQ(shard_best[k], ref.asrtm(shard_handles[k]).find_best_operating_point())
+          << "decide_shard " << s << ", tenant " << shard_handles[k];
+    served += n;
+  }
+  EXPECT_EQ(served, handles.size());
+}
+
+TEST_F(ServerTest, PublishedDecisionsMatchTheSynchronousReference) {
+  constexpr std::size_t kTenants = 4;
+  constexpr int kSteps = 48;
+  const KnowledgeBase kb = make_tradeoff_kb();
+  const std::array<Rank, 3> ranks = {Rank::minimize_exec_time(0),
+                                     Rank::minimize_energy(0, 1),
+                                     Rank::minimize_energy_delay(0, 1)};
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Server server(publishing_options(base_options(), dir_ / ("seed" + std::to_string(seed))));
+    reference::ReferenceServer ref;
+    std::vector<Server::TenantHandle> handles;
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      Server::TenantHandle h = 0;
+      ASSERT_TRUE(server.register_tenant(std::to_string(t), kb, configure_capped, &h));
+      ASSERT_EQ(ref.add_tenant(kb, configure_capped), h);
+      handles.push_back(h);
+    }
+    expect_matches_reference(server, ref, handles);
+
+    Rng rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    const auto feed = [&](std::size_t t, std::size_t op, std::size_t metric, double value) {
+      ASSERT_EQ(server.submit_feedback(handles[t], op, metric, value), Admission::kAccepted);
+      ref.submit_feedback(t, op, metric, value);
+    };
+    const auto mean = [&kb](std::size_t op, std::size_t metric) {
+      return kb.metric_means(metric)[op];
+    };
+    for (int step = 0; step < kSteps; ++step) {
+      const std::size_t t = pick(kTenants);
+      // Two fixed steps restart a shard; the rest draw their kind.
+      const std::size_t kind = step == 16 || step == 32 ? 6 : pick(6);
+      SCOPED_TRACE(testing::Message() << "step " << step << ", kind " << kind << ", tenant " << t);
+      switch (kind) {
+        case 0:  // feedback equal to the knowledge mean
+          for (std::size_t k = pick(8) + 1; k > 0; --k) {
+            const std::size_t op = pick(kb.size());
+            const std::size_t metric = pick(2);
+            feed(t, op, metric, mean(op, metric));
+          }
+          break;
+        case 1:  // noisy feedback
+          for (std::size_t k = pick(24) + 1; k > 0; --k) {
+            const std::size_t op = pick(kb.size());
+            const std::size_t metric = pick(2);
+            feed(t, op, metric, mean(op, metric) * rng.uniform(0.7, 1.5));
+          }
+          break;
+        case 2:  // finite, so accepted at ingress; its ratio overflows, so
+                 // the AS-RTM rejects it and no epoch moves
+          feed(t, pick(kb.size()), 0, std::numeric_limits<double>::max());
+          break;
+        case 3: {
+          const double goal = rng.uniform(50.0, 100.0);
+          ASSERT_EQ(server.update_goal(handles[t], 0, goal), Admission::kAccepted);
+          ref.update_goal(t, 0, goal);
+          break;
+        }
+        case 4: {
+          const Rank rank = ranks[pick(ranks.size())];
+          const auto set_rank = [&rank](margot::Asrtm& asrtm) { asrtm.set_rank(rank); };
+          server.with_tenant(handles[t], set_rank);
+          ref.with_tenant(t, set_rank);
+          break;
+        }
+        case 5: {
+          const auto invalidate = [](margot::Asrtm& asrtm) { asrtm.invalidate_decision_cache(); };
+          server.with_tenant(handles[t], invalidate);
+          ref.with_tenant(t, invalidate);
+          break;
+        }
+        default: {
+          const std::size_t shard = server.shard_of(handles[t]);
+          force_restart(server, shard);
+          for (std::size_t u = 0; u < kTenants; ++u)
+            if (server.shard_of(handles[u]) == shard) ref.restart(u);
+          // The respawned worker applies this event only after every
+          // rebuild on its shard, so the drain below waits for them.
+          const std::size_t op = pick(kb.size());
+          feed(t, op, 1, mean(op, 1) * 1.1);
+          break;
+        }
+      }
+      ASSERT_TRUE(server.drain(10.0));
+      expect_matches_reference(server, ref, handles);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST_F(ServerTest, ThrowingWithTenantFunctorStillRepublishes) {
+  Server server(base_options());
+  Server::TenantHandle h = 0;
+  ASSERT_TRUE(server.register_tenant("thrower", make_tradeoff_kb(), configure_capped, &h));
+  const std::array<Server::TenantHandle, 1> handles = {h};
+  std::array<std::size_t, 1> best = {0};
+  server.decide_batch(handles, best);
+  ASSERT_EQ(best[0], 7u);  // the fastest point under 70 W
+  // The functor lowers the cap to 50 W and then throws; the lower cap
+  // stays, so the sweep must serve its decision.
+  EXPECT_THROW(server.with_tenant(h,
+                                  [](margot::Asrtm& asrtm) {
+                                    asrtm.set_constraint_goal(0, 50.0);
+                                    throw Error("functor failed after mutating");
+                                  }),
+               Error);
+  server.decide_batch(handles, best);
+  EXPECT_EQ(best[0], 2u);
+  EXPECT_EQ(best[0], server.decide(h));
+}
+
+TEST_F(ServerTest, ServerSweepsStayValidUnderConcurrentWritesAndRestarts) {
+  constexpr std::size_t kTenants = 6;
+  const KnowledgeBase kb = make_tradeoff_kb();
+  ServerOptions options = publishing_options(base_options(), dir_ / "ckpt");
+  options.ring_capacity = 256;
+  options.checkpoint.group_commit = 4;
+  Server server(options);
+  std::vector<Server::TenantHandle> handles;
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    Server::TenantHandle h = 0;
+    ASSERT_TRUE(server.register_tenant(std::to_string(t), kb, configure_capped, &h));
+    handles.push_back(h);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> sweeps{0};
+  std::atomic<std::uint64_t> out_of_range{0};
+  std::thread reader([&] {
+    std::vector<std::size_t> best(kTenants);
+    std::vector<Server::TenantHandle> shard_handles(kTenants);
+    while (!stop.load()) {
+      server.decide_batch(handles, best);
+      for (const std::size_t b : best) out_of_range += b >= kb.size();
+      for (std::size_t s = 0; s < options.shards; ++s) {
+        const std::size_t n = server.decide_shard(s, shard_handles, best);
+        for (std::size_t k = 0; k < n; ++k) out_of_range += best[k] >= kb.size();
+      }
+      ++sweeps;
+    }
+  });
+
+  // Flood noisy feedback and goal changes while shard 0 stalls into a
+  // watchdog restart; kBlock producers wait out the stall.
+  Rng rng(2026);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::uint64_t restarts = server.stats().shard_restarts;
+  for (int round = 0; round < 300; ++round) {
+    if (round == 100) server.inject_stall(0, 0.6);
+    const std::size_t t = pick(kTenants);
+    for (int k = 0; k < 16; ++k) {
+      const std::size_t op = pick(kb.size());
+      const std::size_t metric = pick(2);
+      EXPECT_EQ(server.submit_feedback(handles[t], op, metric,
+                                       kb.metric_means(metric)[op] * rng.uniform(0.7, 1.5)),
+                Admission::kAccepted);
+    }
+    if (round % 8 == 0) {
+      EXPECT_EQ(server.update_goal(handles[t], 0, rng.uniform(50.0, 100.0)),
+                Admission::kAccepted);
+    }
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (server.stats().shard_restarts == restarts &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(server.stats().shard_restarts, restarts) << "watchdog never fired";
+  // Applied only by the respawned worker, after every rebuild.
+  ASSERT_EQ(server.submit_feedback(handles[0], 0, 0, kb.metric_means(0)[0]),
+            Admission::kAccepted);
+  ASSERT_TRUE(server.drain(20.0));
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(sweeps.load(), 0u);
+  EXPECT_EQ(out_of_range.load(), 0u) << "a sweep served an index outside the knowledge base";
+
+  // Quiescent: every sweep serves exactly what the AS-RTM decides.
+  std::vector<std::size_t> batch(kTenants);
+  server.decide_batch(handles, batch);
+  std::vector<std::size_t> expected(kTenants);
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    server.with_tenant(handles[t], [&](margot::Asrtm& asrtm) {
+      expected[t] = asrtm.find_best_operating_point();
+    });
+    EXPECT_EQ(batch[t], expected[t]) << "decide_batch, tenant " << t;
+  }
+  std::vector<Server::TenantHandle> shard_handles(kTenants);
+  std::vector<std::size_t> shard_best(kTenants);
+  for (std::size_t s = 0; s < options.shards; ++s) {
+    const std::size_t n = server.decide_shard(s, shard_handles, shard_best);
+    for (std::size_t k = 0; k < n; ++k)
+      EXPECT_EQ(shard_best[k], expected[shard_handles[k]]) << "decide_shard, tenant "
+                                                           << shard_handles[k];
+  }
+}
+
+TEST_F(ServerTest, DecisionsArePublishedOnlyWhenAWriteMovesTheDecision) {
+  Counter& published = MetricsRegistry::global().counter("server.decisions_published");
+  ServerOptions options = base_options();
+  options.shards = 1;
+  Server server(options);
+  const KnowledgeBase kb = make_tradeoff_kb();
+  Server::TenantHandle h = 0;
+  ASSERT_TRUE(server.register_tenant("drifting", kb, configure_capped, &h));
+  const double mean = kb.metric_means(0)[3];
+
+  // Feedback equal to the knowledge mean leaves the correction
+  // bit-identical: no epoch moves, so nothing is re-decided.
+  std::uint64_t before = published.value();
+  for (int i = 0; i < 32; ++i)
+    ASSERT_EQ(server.submit_feedback(h, 3, 0, mean), Admission::kAccepted);
+  ASSERT_TRUE(server.drain(5.0));
+  EXPECT_EQ(published.value() - before, 0u);
+
+  // Each drifting event applied on its own is one re-decision.
+  constexpr std::uint64_t kDrifting = 8;
+  before = published.value();
+  for (std::uint64_t i = 0; i < kDrifting; ++i) {
+    ASSERT_EQ(server.submit_feedback(h, 3, 0, mean * (1.2 + 0.05 * static_cast<double>(i))),
+              Admission::kAccepted);
+    ASSERT_TRUE(server.drain(5.0));
+  }
+  EXPECT_EQ(published.value() - before, kDrifting);
+
+  // Queued behind a stalled shard, the events reach the AS-RTM in
+  // groups of at most batch_drain, and a group re-decides once.
+  constexpr std::size_t kQueued = 40;
+  server.inject_stall(0, 0.3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  before = published.value();
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    ASSERT_EQ(server.submit_feedback(h, 3, 0, mean * (1.6 + 0.05 * static_cast<double>(i))),
+              Admission::kAccepted);
+  }
+  ASSERT_TRUE(server.drain(5.0));
+  const std::uint64_t groups = published.value() - before;
+  EXPECT_GE(groups, 1u);
+  EXPECT_LE(groups, (kQueued + options.batch_drain - 1) / options.batch_drain);
 }
 
 // ---- programmatic chaos sites (run by the chaos-smoke preset too) ------------------
