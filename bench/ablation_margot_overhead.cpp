@@ -35,6 +35,10 @@
 // every decision): the baseline gate bounds the exact rank scores each
 // dirty decision computes (the best-first walk stops after a handful,
 // where a sweep scores every feasible point) and the allocations (0).
+// It pins the knowledge base's storage as well: building a 4096-point
+// base takes about 8x (linear), not 64x (quadratic), the time of a
+// 512-point one, and a copy shares the original's columns
+// (BM_KnowledgeBuild and BM_KnowledgeCopy measure both).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -45,6 +49,7 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <vector>
 
 #include "dse/dse.hpp"
 #include "margot/context.hpp"
@@ -56,6 +61,7 @@
 #include "support/bench_json.hpp"
 #include "support/chaos.hpp"
 #include "support/rng.hpp"
+#include "support/statistics.hpp"
 #include "support/supervisor.hpp"
 
 // Process-wide allocation counter backing the allocation-free assertion
@@ -225,6 +231,74 @@ void BM_FeedbackUpdate_WithEventSink(benchmark::State& state) {
 }
 BENCHMARK(BM_FeedbackUpdate_WithEventSink);
 
+// ---- knowledge base storage -------------------------------------------------
+
+/// Synthetic knowledge base on the paper's three-knob schema (config,
+/// threads, binding): point i has the mixed-radix knob row
+/// (i % 16, i / 16 % 32, i / 512), so every row is distinct.
+margot::KnowledgeBase kb_three_knob(std::size_t n) {
+  margot::KnowledgeBase kb({"config", "threads", "binding"},
+                           {"exec_time_s", "power_w", "throughput"});
+  for (std::size_t i = 0; i < n; ++i) {
+    const int v = static_cast<int>(i);
+    const double x = static_cast<double>(i);
+    kb.add({{v % 16, v / 16 % 32, v / 512},
+            {{1.0 + 0.001 * x, 0.01}, {60.0 + 0.05 * x, 0.5}, {1.0 / (1.0 + 0.001 * x), 0.01}}});
+  }
+  return kb;
+}
+
+void BM_KnowledgeBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(kb_three_knob(n));
+}
+BENCHMARK(BM_KnowledgeBuild)->Arg(512)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
+void BM_KnowledgeCopy(benchmark::State& state) {
+  const margot::KnowledgeBase kb = kb_three_knob(512);
+  for (auto _ : state) {
+    margot::KnowledgeBase copy = kb;
+    benchmark::DoNotOptimize(copy.metric_means(0));
+  }
+}
+BENCHMARK(BM_KnowledgeCopy);
+
+struct KnowledgePin {
+  double build_small_ns = 0.0;  ///< median build of kSmall points
+  double build_large_ns = 0.0;  ///< median build of kLarge points
+  bool copy_shares_storage = false;
+};
+
+/// Median build times of a 512- and a 4096-point base (interleaved
+/// repetitions, so host noise hits both alike) and whether a copy's
+/// columns are the original's.  A linear build reads a ratio near 8, a
+/// quadratic one near 64.
+KnowledgePin run_knowledge_pin() {
+  constexpr std::size_t kSmall = 512;
+  constexpr std::size_t kLarge = 4096;
+  constexpr int kReps = 11;
+  const auto build_ns = [](std::size_t n) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(kb_three_knob(n));
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(t1 - t0).count();
+  };
+  std::vector<double> small;
+  std::vector<double> large;
+  for (int rep = 0; rep < kReps; ++rep) {
+    small.push_back(build_ns(kSmall));
+    large.push_back(build_ns(kLarge));
+  }
+  KnowledgePin pin;
+  pin.build_small_ns = quantile(small, 0.5);
+  pin.build_large_ns = quantile(large, 0.5);
+  const margot::KnowledgeBase original = kb_three_knob(kSmall);
+  const margot::KnowledgeBase copy = original;
+  pin.copy_shares_storage = copy.metric_means(0) == original.metric_means(0) &&
+                            copy.knob_row(0) == original.knob_row(0);
+  return pin;
+}
+
 // ---- incremental decision engine ------------------------------------------
 
 // Synthetic knowledge base: deterministic, positive metrics (metric 0 =
@@ -378,6 +452,8 @@ bool run_decision_scaling_check() {
 
   const double ratio = cold_ns / steady_ns;
   const DirtyPin dirty = run_dirty_pin(kPoints);
+  const KnowledgePin knowledge = run_knowledge_pin();
+  const double build_ratio = knowledge.build_large_ns / knowledge.build_small_ns;
 
   // Machine-readable artifact for the baseline gate
   // (bench/baselines/margot_overhead.json): bounds live on the ratio
@@ -397,6 +473,12 @@ bool run_decision_scaling_check() {
   w.kv("allocs", dirty.allocs);
   w.kv("cached_decisions", dirty.cached_decisions);
   w.end_object();
+  w.key("knowledge").begin_object();
+  w.kv("build_512_ns", knowledge.build_small_ns);
+  w.kv("build_4096_ns", knowledge.build_large_ns);
+  w.kv("build_ratio", build_ratio);
+  w.kv("copy_shares_storage", knowledge.copy_shares_storage ? 1 : 0);
+  w.end_object();
   w.end_object();
   write_bench_json("margot_overhead", w.str());
 
@@ -411,6 +493,11 @@ bool run_decision_scaling_check() {
       kPoints, dirty.ns, dirty.scores_per_decision,
       static_cast<unsigned long long>(dirty.allocs),
       static_cast<unsigned long long>(dirty.cached_decisions));
+  std::printf(
+      "knowledge base: build 512=%.0fus 4096=%.0fus ratio=%.1fx, copy shares "
+      "storage=%d\n",
+      knowledge.build_small_ns / 1e3, knowledge.build_large_ns / 1e3, build_ratio,
+      knowledge.copy_shares_storage ? 1 : 0);
   const bool ok = ratio >= kMinSpeedup && steady_allocs == 0;
   if (ok)
     std::printf(

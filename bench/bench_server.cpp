@@ -19,6 +19,10 @@
 //             floods must shed instead of wedging, and a final
 //             kill-and-resume must bring back every tenant.
 //
+// Every tenant registers a copy of one tenant_kb(), so the artifact
+// also counts the distinct knowledge storage blocks the tenants' AS-RTMs
+// read (knowledge.storage_blocks): copies share one block, so it is 1.
+//
 // Default is the full run (>= 1k tenants, the ISSUE's >= 1M updates/sec
 // target printed against the measured number); --quick runs a scaled-
 // down version for CTest, whose artifact is gated by
@@ -131,18 +135,33 @@ RegimeResult drive(server::Server& srv, const std::vector<std::uint64_t>& handle
 }
 
 std::vector<std::uint64_t> register_tenants(server::Server& srv, std::size_t n) {
+  const margot::KnowledgeBase kb = tenant_kb();
   std::vector<std::uint64_t> handles;
   handles.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
     std::uint64_t handle = 0;
-    if (!srv.register_tenant("tenant" + std::to_string(t), tenant_kb(),
-                             configure_tenant, &handle)) {
+    if (!srv.register_tenant("tenant" + std::to_string(t), kb, configure_tenant,
+                             &handle)) {
       std::fprintf(stderr, "tenant registration refused at %zu\n", t);
       std::exit(2);
     }
     handles.push_back(handle);
   }
   return handles;
+}
+
+/// Distinct knowledge storage blocks behind the tenants' AS-RTMs, told
+/// apart by the address of their first metric column.
+std::size_t count_storage_blocks(server::Server& srv,
+                                 const std::vector<std::uint64_t>& handles) {
+  std::vector<const double*> columns;
+  for (const std::uint64_t handle : handles)
+    srv.with_tenant(handle, [&](margot::Asrtm& asrtm) {
+      columns.push_back(asrtm.knowledge().metric_means(0));
+    });
+  std::sort(columns.begin(), columns.end());
+  return static_cast<std::size_t>(std::unique(columns.begin(), columns.end()) -
+                                  columns.begin());
 }
 
 /// Correction value after `n` constant-feedback events (the EWMA
@@ -201,6 +220,7 @@ int main(int argc, char** argv) {
   std::printf("== clean: %zu tenants, %zu events, policy=block ==\n", config.tenants,
               config.clean_events);
   RegimeResult clean;
+  std::size_t storage_blocks = 0;
   std::vector<std::size_t> applied_at_kill(config.tenants, 0);
   std::vector<std::size_t> buffered_at_kill(config.tenants, 0);
   server::ServerOptions clean_options = base;
@@ -209,6 +229,7 @@ int main(int argc, char** argv) {
   {
     server::Server srv(clean_options);
     const auto handles = register_tenants(srv, config.tenants);
+    storage_blocks = count_storage_blocks(srv, handles);
     clean = drive(srv, handles, config.clean_events, config.decide_every);
     for (std::size_t t = 0; t < config.tenants; ++t) {
       const auto status = srv.tenant_status(handles[t]);
@@ -220,6 +241,8 @@ int main(int argc, char** argv) {
   std::printf("   %.0f updates/s, decide p50=%.0fns p99=%.0fns, drained=%llu\n",
               clean.throughput_per_s, clean.decision_p50_ns, clean.decision_p99_ns,
               static_cast<unsigned long long>(clean.stats.drained));
+  std::printf("   knowledge: %zu tenants read %zu storage block(s)\n", config.tenants,
+              storage_blocks);
 
   std::size_t resume_exact = 0;
   std::size_t max_lost = 0;
@@ -422,6 +445,9 @@ int main(int argc, char** argv) {
   w.kv("recovered_tenants", static_cast<std::uint64_t>(chaos_recovered));
   w.kv("recovered_fraction",
        static_cast<double>(chaos_recovered) / static_cast<double>(config.tenants));
+  w.end_object();
+  w.key("knowledge").begin_object();
+  w.kv("storage_blocks", static_cast<std::uint64_t>(storage_blocks));
   w.end_object();
   w.end_object();
   write_bench_json("server", w.str());

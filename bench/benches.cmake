@@ -38,9 +38,11 @@ set_target_properties(bench_baseline_check PROPERTIES
 # the bench's built-in steady-vs-cold assertion, which prints PASS/FAIL
 # and exits non-zero on a regression of the O(1) decision path.  The
 # run also emits BENCH_margot_overhead.json, which the *_baseline test
-# gates against the committed bounds.  The third test feeds the checker
-# a doctored artifact whose dirty decisions score every point under the
-# cap; it must fail, which shows that the gate can fail.
+# gates against the committed bounds.  The doctored tests feed the
+# checker artifacts that each break one bound — dirty decisions that
+# score every point under the cap, a quadratic knowledge-base build, a
+# copy that does not share its storage — and must fail, which shows
+# that each gate can fail.
 add_test(NAME decision_bench_smoke
   COMMAND ablation_margot_overhead
           --benchmark_filter=AsrtmDecide
@@ -65,6 +67,15 @@ add_test(NAME margot_overhead_bench_baseline_rejects_doctored
 set_tests_properties(margot_overhead_bench_baseline_rejects_doctored PROPERTIES
   LABELS "bench;smoke"
   WILL_FAIL TRUE)
+foreach(bound build_ratio copy)
+  add_test(NAME margot_overhead_bench_baseline_rejects_doctored_${bound}
+    COMMAND bench_baseline_check
+            ${CMAKE_SOURCE_DIR}/bench/baselines/margot_overhead.json
+            ${CMAKE_SOURCE_DIR}/bench/baselines/margot_overhead_doctored_${bound}.json)
+  set_tests_properties(margot_overhead_bench_baseline_rejects_doctored_${bound} PROPERTIES
+    LABELS "bench;smoke"
+    WILL_FAIL TRUE)
+endforeach()
 
 # The DSE-strategy pin (quick mode for CTest): two-stage seed -> polish
 # exploration on a two-kernel subset at the default (tiny) budget, with
@@ -256,9 +267,10 @@ set_tests_properties(warm_start_bench_baseline_rejects_doctored PROPERTIES
 
 # The multi-tenant server pin (quick mode for CTest): clean / overload /
 # chaos regimes, kill-and-resume exactness, BENCH_server.json artifact
-# gated by machine-stable bounds.  The third test feeds the checker a
-# doctored artifact whose overload p99 ratio breaks its bound; it must
-# fail, which shows that the gate can fail.
+# gated by machine-stable bounds.  The doctored tests feed the checker
+# artifacts that each break one bound — the overload p99 ratio, and
+# tenants that each read their own copy of the knowledge — and must
+# fail, which shows that each gate can fail.
 add_test(NAME server_bench_smoke
   COMMAND bench_server --quick)
 set_tests_properties(server_bench_smoke PROPERTIES
@@ -279,5 +291,12 @@ add_test(NAME server_bench_baseline_rejects_doctored
           ${CMAKE_SOURCE_DIR}/bench/baselines/server.json
           ${CMAKE_SOURCE_DIR}/bench/baselines/server_doctored.json)
 set_tests_properties(server_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
+add_test(NAME server_bench_baseline_rejects_doctored_storage_blocks
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/server.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/server_doctored_storage_blocks.json)
+set_tests_properties(server_bench_baseline_rejects_doctored_storage_blocks PROPERTIES
   LABELS "bench;smoke"
   WILL_FAIL TRUE)

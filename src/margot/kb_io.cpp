@@ -38,6 +38,10 @@ double parse_double(const std::string& cell, std::size_t line_no,
 
 int parse_int(const std::string& cell, std::size_t line_no, const std::string& column) {
   const double v = parse_double(cell, line_no, column);
+  // Range first: converting an out-of-range double to int is undefined.
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+    format_fail(line_no, "knob cell '" + cell + "' in column " + column +
+                             " is outside the int range");
   const int i = static_cast<int>(v);
   if (static_cast<double>(i) != v)
     format_fail(line_no, "knob cell '" + cell + "' in column " + column +
@@ -117,12 +121,17 @@ KnowledgeBase load_knowledge(std::istream& in) {
   // Column names, for error messages on data rows.
   std::vector<std::string> columns;
   for (const auto& k : knob_names) columns.push_back("knob:" + k);
+  const std::string knob_columns = join(columns, ",");
   for (const auto& m : metric_names) {
     columns.push_back(m);
     columns.push_back(m + ":sd");
   }
 
+  // Every row KnowledgeBase::add would refuse is refused here first,
+  // naming its line and column, so a malformed file never escapes as
+  // a contract violation.
   KnowledgeBase kb(knob_names, metric_names);
+  std::vector<std::size_t> point_lines;  // line of each point, for duplicates
   while (std::getline(in, line)) {
     ++line_no;
     if (trim(line).empty()) continue;
@@ -139,10 +148,16 @@ KnowledgeBase load_knowledge(std::istream& in) {
       stats.mean = parse_double(cells[c], line_no, columns[c]);
       ++c;
       stats.stddev = parse_double(cells[c], line_no, columns[c]);
+      if (stats.stddev < 0.0)
+        format_fail(line_no, "negative " + columns[c] + " cell '" + cells[c] + "'");
       ++c;
       op.metrics.push_back(stats);
     }
+    if (const auto first = kb.find(op.knobs))
+      format_fail(line_no, "duplicate operating point: columns " + knob_columns +
+                               " repeat line " + std::to_string(point_lines[*first]));
     kb.add(std::move(op));
+    point_lines.push_back(line_no);
   }
   return kb;
 }

@@ -39,7 +39,9 @@ std::string knowledge_to_string(const KnowledgeBase& kb);
 
 /// Parses a knowledge base from a stream.  Throws KnowledgeFormatError
 /// on malformed input (missing headers, wrong column counts,
-/// non-numeric cells), naming the offending line and field.
+/// non-numeric cells, knob cells that are not an int, negative
+/// standard deviations, a knob row that repeats an earlier one), naming
+/// the offending line and field.
 KnowledgeBase load_knowledge(std::istream& in);
 
 /// Parses from a string.

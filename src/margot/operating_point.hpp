@@ -8,18 +8,36 @@
 // value list) so the knowledge base stays application-agnostic; the
 // SOCRATES layer maps them back to FlagConfig / thread count / binding.
 //
-// Storage is structure-of-arrays in one arena block: each metric's
-// means (and stddevs) form a contiguous, 64-byte-aligned column, and
-// knob rows sit in one flat int block.  The AS-RTM's branchless
-// decision sweeps stream over the columns via metric_means() /
-// metric_stddevs(); everything else goes through the view types below,
-// which preserve the original `kb[i].knobs` / `kb[i].metrics[m].mean`
-// accessor surface.  OperatingPoint itself survives as the value type
-// used to build and materialize points.
+// Storage is structure-of-arrays in one 64-byte-aligned block: each
+// metric's means (and stddevs) form a contiguous column, knob rows sit
+// in one flat int block, and an open-addressing index of point numbers
+// (about two uint32 slots per point, keyed by a hash of the knob row)
+// backs find() and add()'s duplicate check, so both probe a slot or two
+// instead of comparing every row, and building n points is O(n).  The
+// AS-RTM's branchless decision sweeps stream over the columns via
+// metric_means() / metric_stddevs(); everything else goes through the
+// view types below, which preserve the original `kb[i].knobs` /
+// `kb[i].metrics[m].mean` accessor surface.  OperatingPoint itself
+// survives as the value type used to build and materialize points.
+//
+// The block is reference-counted and shared: copying a KnowledgeBase
+// (construct or assign) copies no bytes, so every AS-RTM, tenant and
+// pool lookup built from one knowledge base reads the same columns,
+// and a copy costs two small name vectors plus a count increment.  A
+// block is never written while another KnowledgeBase can see it: the
+// first copy marks it shared, and add() on a base whose block carries
+// that mark first re-packs into a private block (copy-on-write).  The
+// mark is sticky, so add() never decides from a reference count that a
+// reader on another thread may be dropping at that moment: copies may
+// be read, copied and dropped on any threads while the owner of one of
+// them adds to it.  A moved-from base is empty.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -153,10 +171,13 @@ class KnowledgeBase {
   KnowledgeBase(std::vector<std::string> knob_names,
                 std::vector<std::string> metric_names);
 
+  /// Shares `other`'s storage block (no bytes are copied) and marks it
+  /// shared, so the next add() on either side re-packs first.
   KnowledgeBase(const KnowledgeBase& other);
-  KnowledgeBase& operator=(const KnowledgeBase& other);
-  KnowledgeBase(KnowledgeBase&& other) noexcept = default;
-  KnowledgeBase& operator=(KnowledgeBase&& other) noexcept = default;
+  /// Leaves `other` empty: size 0, find() returns nullopt.
+  KnowledgeBase(KnowledgeBase&& other) noexcept;
+  /// Copy- and move-assignment (copy-and-swap; self-assignment is safe).
+  KnowledgeBase& operator=(KnowledgeBase other) noexcept;
 
   const std::vector<std::string>& knob_names() const { return knob_names_; }
   const std::vector<std::string>& metric_names() const { return metric_names_; }
@@ -165,7 +186,8 @@ class KnowledgeBase {
   std::size_t metric_index(const std::string& name) const;
 
   /// Adds a point; its vectors must match the schema sizes.  Duplicate
-  /// knob configurations are rejected.
+  /// knob configurations are rejected.  O(1) expected, amortized; the
+  /// first add() after a copy re-packs into a private block.
   void add(OperatingPoint op);
 
   std::size_t size() const { return size_; }
@@ -173,12 +195,14 @@ class KnowledgeBase {
   PointView operator[](std::size_t i) const;
   PointRange points() const { return PointRange{this}; }
 
-  /// Index of the point with exactly these knob values, if any.
+  /// Index of the point with exactly these knob values, if any: one
+  /// hash-index probe, O(1) expected.
   std::optional<std::size_t> find(const std::vector<int>& knobs) const;
 
   // --- SoA hot-path accessors -------------------------------------------
-  // Contiguous columns of size() entries; the pointers stay valid until
-  // the next add() (which may re-pack into a larger arena).
+  // Contiguous columns of size() entries, the same addresses in every
+  // copy that shares the block; the pointers stay valid until the next
+  // add() on this base (which may re-pack into a new block).
 
   const double* metric_means(std::size_t m) const {
     return means_ + m * capacity_;
@@ -190,21 +214,33 @@ class KnowledgeBase {
   const int* knob_row(std::size_t i) const {
     return knobs_ + i * knob_names_.size();
   }
-  /// Bytes currently reserved by the backing arena (observability).
-  std::size_t arena_bytes() const { return arena_.capacity(); }
+  /// Bytes reserved by the storage block (observability); copies that
+  /// share the block report the same bytes.
+  std::size_t arena_bytes() const { return block_ ? block_->arena.capacity() : 0; }
 
  private:
-  /// Re-packs all columns into a fresh arena holding >= min_capacity
-  /// points (capacity stays a power of two so columns stay aligned).
+  /// One storage block: the columns, the knob rows and the index.
+  struct Block {
+    support::Arena arena;
+    std::atomic<bool> shared{false};  ///< set by the first copy; never cleared
+  };
+
+  /// Re-packs the columns into a fresh private block holding
+  /// >= min_capacity points (capacity stays a power of two so columns
+  /// stay aligned) and rehashes the index into it.
   void grow(std::size_t min_capacity);
-  void copy_from(const KnowledgeBase& other);
+  /// Index slot holding the point whose knob row equals `row`, or the
+  /// empty slot where that row would go.  Needs capacity_ > 0.
+  std::size_t probe(const int* row) const;
+  void swap(KnowledgeBase& other) noexcept;
 
   std::vector<std::string> knob_names_;
   std::vector<std::string> metric_names_;
-  support::Arena arena_;
+  std::shared_ptr<Block> block_;  ///< shared by copies; null while empty
   double* means_ = nullptr;    ///< metric-major: column m at means_ + m*capacity_
   double* stddevs_ = nullptr;  ///< metric-major, parallel to means_
   int* knobs_ = nullptr;       ///< point-major rows of knob_names_.size() ints
+  std::uint32_t* slots_ = nullptr;  ///< 2*capacity_ slots: a point index or empty
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
 };

@@ -4,9 +4,10 @@
 // (per-metric means, per-metric stddevs, the flat knob block) lives in
 // one contiguous allocation, each sub-block starting on a cache-line /
 // SIMD-lane boundary so the branchless decision sweeps stream over
-// aligned doubles.  The arena is move-only: owners that need copies
-// (KnowledgeBase) re-allocate and re-pack, because a raw byte copy
-// would not fix up the typed pointers previously handed out.
+// aligned doubles.  The arena is move-only, because a raw byte copy
+// would not fix up the typed pointers previously handed out; an owner
+// that needs copies shares it instead (KnowledgeBase keeps it in a
+// reference-counted block that its copies point into).
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,8 @@
 // knowledge-base (de)serialization.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <limits>
 #include <sstream>
 
 #include "margot/data_features.hpp"
@@ -160,6 +162,53 @@ TEST(KbIo, TruncatedFixturesNameTheOffendingLine) {
   std::string garbage = good;
   garbage += "1,2,0,1.0,0.1,2.0,0.2,nonsense###,0.3\n";
   expect_message(garbage, "throughput");
+}
+
+/// Parses `text`, expecting a KnowledgeFormatError whose message
+/// contains every needle.
+void expect_format_error(const std::string& text, std::initializer_list<const char*> needles) {
+  try {
+    knowledge_from_string(text);
+    FAIL() << "expected KnowledgeFormatError for:\n" << text;
+  } catch (const KnowledgeFormatError& e) {
+    for (const char* needle : needles)
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "missing '" << needle << "' in: " << e.what();
+  }
+}
+
+TEST(KbIo, RejectsARepeatedKnobRowNamingBothLines) {
+  // Before the loader checked, a repeated row escaped as the knowledge
+  // base's own contract violation, with no line number.
+  const std::string head = "# knobs: a,b\n# metrics: m\nknob:a,knob:b,m,m:sd\n";
+  expect_format_error(head + "0,1,1.0,0.1\n2,3,2.0,0.2\n0,1,3.0,0.3\n",
+                      {"line 6", "knob:a,knob:b", "repeat line 4"});
+  expect_format_error(head + "-2147483648,2147483647,1.0,0.1\n"
+                             "-2147483648,2147483647,1.0,0.1\n",
+                      {"line 5", "repeat line 4"});
+}
+
+TEST(KbIo, RejectsANegativeStddevNamingItsColumn) {
+  expect_format_error(
+      "# knobs: k\n# metrics: time,power\nknob:k,time,time:sd,power,power:sd\n"
+      "0,1.0,0.1,50.0,0.5\n1,1.0,0.1,50.0,-0.5\n",
+      {"line 5", "power:sd", "-0.5"});
+}
+
+TEST(KbIo, RejectsKnobCellsOutsideTheIntRange) {
+  // Checked before the conversion to int, which is undefined for an
+  // out-of-range double.
+  const std::string head = "# knobs: k\n# metrics: m\nknob:k,m,m:sd\n";
+  for (const char* cell : {"3e9", "-3e9", "2147483648", "-2147483649", "1e300"})
+    expect_format_error(head + cell + ",1.0,0.0\n",
+                        {"line 4", "knob:k", cell, "outside the int range"});
+  // The extremes themselves are valid knob values and round-trip.
+  const auto kb = knowledge_from_string(head + "2147483647,1.0,0.0\n-2147483648,2.0,0.0\n");
+  ASSERT_EQ(kb.size(), 2u);
+  EXPECT_EQ(kb.find({std::numeric_limits<int>::max()}), 0u);
+  EXPECT_EQ(kb.find({std::numeric_limits<int>::min()}), 1u);
+  EXPECT_EQ(knowledge_to_string(knowledge_from_string(knowledge_to_string(kb))),
+            knowledge_to_string(kb));
 }
 
 TEST(KbIo, FormatErrorIsASocratesError) {
