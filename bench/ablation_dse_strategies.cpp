@@ -54,7 +54,7 @@ using M = margot::ContextMetrics;
 /// AS-RTM on `kb` picks for each power budget of the Figure 4 sweep.
 std::vector<double> sweep_choices(const platform::PerformanceModel& model,
                                   const platform::KernelModelParams& kernel,
-                                  const dse::DesignSpace& space,
+                                  const platform::DesignSpace& space,
                                   margot::KnowledgeBase kb) {
   margot::Asrtm asrtm(std::move(kb));
   asrtm.set_rank(margot::Rank::minimize_exec_time(M::kExecTime));
@@ -65,7 +65,7 @@ std::vector<double> sweep_choices(const platform::PerformanceModel& model,
   for (double budget = 45.0; budget <= 140.0 + 1e-9; budget += 5.0) {
     asrtm.set_constraint_goal(handle, budget);
     const auto& op = asrtm.best_operating_point();
-    const auto config = dse::decode_knobs(space, op.knobs);
+    const auto config = space.configuration(space.decode(op.knobs));
     times.push_back(model.evaluate(kernel, config).exec_time_s);
   }
   return times;
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
               quick ? "; --quick subset" : "");
 
   const auto model = platform::PerformanceModel::paper_platform();
-  const auto space = dse::DesignSpace::paper_space(model.topology());
+  const auto space = platform::DesignSpace::paper_space(model.topology());
   Pipeline pipeline(model);
   TaskPool& pool = pipeline.pool();
 
@@ -196,11 +196,18 @@ int main(int argc, char** argv) {
             ref_power);
 
     // Decision regret of the (pruned) two-stage knowledge base.
-    const auto clones = dse::clone_pairs(two.points, reps.representatives);
-    const auto t_full = sweep_choices(model, kernel, space, dse::to_knowledge_base(full));
+    std::vector<platform::DesignSpace::Point> kept;
+    for (const std::size_t i : reps.representatives) {
+      const auto& p = two.points[i];
+      kept.push_back(space.point(p.config_index, p.configuration));
+    }
+    const auto clones = space.clones(kept);
+    const auto t_full =
+        sweep_choices(model, kernel, space, dse::to_knowledge_base(space, full));
     const double regret_two = regret_vs(
-        t_full, sweep_choices(model, kernel, space,
-                              dse::to_knowledge_base(two.points, reps.representatives)));
+        t_full,
+        sweep_choices(model, kernel, space,
+                      dse::to_knowledge_base(space, two.points, reps.representatives)));
 
     two_stats.fold(two.evaluated, hv_two, regret_two);
     pruned_ratio_min = std::min(pruned_ratio_min, pruned_ratio);

@@ -31,28 +31,25 @@ using M = margot::ContextMetrics;
 /// Best exec time over the whole space at `scale` (noise-free oracle).
 double oracle_time(const platform::PerformanceModel& model,
                    const platform::KernelModelParams& kernel,
-                   const dse::DesignSpace& space, double scale) {
+                   const platform::DesignSpace& space, double scale) {
   double best = 1e100;
-  for (std::size_t ci = 0; ci < space.configs.size(); ++ci)
-    for (const std::size_t t : space.thread_counts)
-      for (const auto b : space.bindings)
-        best = std::min(best, model
-                                  .evaluate(kernel,
-                                            {space.configs[ci].config, t, b}, nullptr,
-                                            scale)
-                                  .exec_time_s);
+  for (std::size_t flat = 0; flat < space.size(); ++flat)
+    best = std::min(best, model
+                              .evaluate(kernel, space.configuration(space.point(flat)),
+                                        nullptr, scale)
+                              .exec_time_s);
   return best;
 }
 
 /// Exec time at `scale` of the configuration an AS-RTM on `kb` picks.
 double chosen_time(const platform::PerformanceModel& model,
                    const platform::KernelModelParams& kernel,
-                   const dse::DesignSpace& space, const margot::KnowledgeBase& kb,
+                   const platform::DesignSpace& space, const margot::KnowledgeBase& kb,
                    double scale) {
   margot::Asrtm asrtm(kb);
   asrtm.set_rank(margot::Rank::maximize_throughput(M::kThroughput));
   const auto& op = asrtm.best_operating_point();
-  const auto config = dse::decode_knobs(space, op.knobs);
+  const auto config = space.configuration(space.decode(op.knobs));
   return model.evaluate(kernel, config, nullptr, scale).exec_time_s;
 }
 

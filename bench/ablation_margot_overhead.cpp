@@ -90,8 +90,8 @@ margot::KnowledgeBase kb_2mm() {
   // artifact-cache hits.
   static const auto model = platform::PerformanceModel::paper_platform();
   static Pipeline pipeline(model);
-  const auto space = dse::DesignSpace::paper_space(model.topology());
-  return dse::to_knowledge_base(pipeline.profile_space("2mm", space, 3, 2018));
+  const auto space = platform::DesignSpace::paper_space(model.topology());
+  return dse::to_knowledge_base(space, pipeline.profile_space("2mm", space, 3, 2018));
 }
 
 void BM_AsrtmSelect_NoConstraints(benchmark::State& state) {
@@ -237,8 +237,8 @@ BENCHMARK(BM_FeedbackUpdate_WithEventSink);
 /// threads, binding): point i has the mixed-radix knob row
 /// (i % 16, i / 16 % 32, i / 512), so every row is distinct.
 margot::KnowledgeBase kb_three_knob(std::size_t n) {
-  margot::KnowledgeBase kb({"config", "threads", "binding"},
-                           {"exec_time_s", "power_w", "throughput"});
+  margot::KnowledgeBase kb(platform::DesignSpace::knob_names(),
+                           platform::DesignSpace::metric_names());
   for (std::size_t i = 0; i < n; ++i) {
     const int v = static_cast<int>(i);
     const double x = static_cast<double>(i);

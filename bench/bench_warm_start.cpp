@@ -256,14 +256,13 @@ int main(int argc, char** argv) {
   // which configurations exist at all.  The CF indices are the
   // seeding-stage bias for both searches; donor flat indices transfer
   // because both kernels explore the identical space.
-  dse::DesignSpace space = dse::DesignSpace::paper_space(platform_model.topology());
-  space.configs = platform::standard_levels();
+  std::vector<platform::NamedConfig> cfs;
   std::vector<std::size_t> seed_configs;
   for (const auto& cfg : cobayn::CobaynModel::top_configs(merged, 4)) {
-    seed_configs.push_back(space.configs.size());
-    space.configs.push_back(
-        {"CF" + std::to_string(seed_configs.size()), cfg});
+    seed_configs.push_back(platform::standard_levels().size() + cfs.size());
+    cfs.push_back({"CF" + std::to_string(cfs.size() + 1), cfg});
   }
+  const auto space = platform::DesignSpace::paper_space(platform_model.topology(), cfs);
 
   TaskPool pool(4);
   dse::ExploreContext donor_ctx{platform_model, donor_kernel, space, 3, 2018, 1.0,

@@ -54,7 +54,7 @@ int main() {
   std::printf("(normalized by the per-benchmark median of the Pareto-optimal points)\n\n");
 
   const auto model = platform::PerformanceModel::paper_platform();
-  const auto space = dse::DesignSpace::paper_space(model.topology());
+  const auto space = platform::DesignSpace::paper_space(model.topology());
   Pipeline pipeline(model);
 
   TextTable table({"Benchmark / metric", "lo", "Q1", "median", "Q3", "hi", "n"});

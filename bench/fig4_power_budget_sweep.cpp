@@ -37,12 +37,12 @@ int main() {
   std::printf("== Figure 4: min exec time under a power budget (2mm) ==\n\n");
 
   const auto model = platform::PerformanceModel::paper_platform();
-  const auto space = dse::DesignSpace::paper_space(model.topology());
+  const auto space = platform::DesignSpace::paper_space(model.topology());
   Pipeline pipeline(model);
   const auto points =
       pipeline.profile_space("2mm", space, /*repetitions=*/5, /*seed=*/2018);
 
-  margot::Asrtm asrtm(dse::to_knowledge_base(points));
+  margot::Asrtm asrtm(dse::to_knowledge_base(space, points));
   asrtm.set_rank(margot::Rank::minimize_exec_time(M::kExecTime));
   const auto budget_constraint = asrtm.add_constraint(
       {M::kPower, margot::ComparisonOp::kLessEqual, 0.0, /*priority=*/0,
@@ -57,17 +57,18 @@ int main() {
   double prev_exec_s = std::numeric_limits<double>::infinity();
   double first_exec_s = 0.0, last_exec_s = 0.0;
   std::size_t first_threads = 0, last_threads = 0;
-  std::set<int> configs_chosen;
+  std::set<std::size_t> configs_chosen;
   for (double budget = 45.0; budget <= 140.0 + 1e-9; budget += 5.0) {
     asrtm.set_constraint_goal(budget_constraint, budget);
     const auto& op = asrtm.best_operating_point();
-    const auto config = dse::decode_knobs(space, op.knobs);
+    const auto point = space.decode(op.knobs);
+    const auto config = space.configuration(point);
     const double exec_s = op.metrics[M::kExecTime].mean;
     const double power_w = op.metrics[M::kPower].mean;
     const bool feasible = asrtm.last_selection_feasible();
     table.add_row({format_double(budget, 0), format_double(exec_s * 1e3, 0),
                    format_double(power_w, 1),
-                   space.configs[static_cast<std::size_t>(op.knobs[0])].name,
+                   space.configs[point.config].name,
                    std::to_string(config.threads),
                    platform::to_string(config.binding), feasible ? "yes" : "no"});
 
@@ -80,7 +81,7 @@ int main() {
     if (exec_s > prev_exec_s) ++time_rises;
     prev_exec_s = exec_s;
     if (feasible && power_w > budget) ++over_budget_rows;
-    configs_chosen.insert(op.knobs[0]);
+    configs_chosen.insert(point.config);
   }
 
   std::fputs(table.str().c_str(), stdout);

@@ -40,10 +40,11 @@ int main() {
   // the table is assembled serially in registry order.
   const auto model = platform::PerformanceModel::paper_platform();
   Pipeline pipeline(model);
+  const auto clones = platform::DesignSpace::paper_space(model.topology()).clones();
   std::vector<weaver::WovenBenchmark> woven(names.size());
   pipeline.pool().parallel_for(names.size(), [&](std::size_t i) {
-    woven[i] = weaver::weave_benchmark_paper_space(names[i],
-                                                   kernels::benchmark_source(names[i]));
+    woven[i] =
+        weaver::weave_benchmark(names[i], kernels::benchmark_source(names[i]), clones);
   });
 
   for (std::size_t i = 0; i < names.size(); ++i) {

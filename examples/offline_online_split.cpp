@@ -7,9 +7,12 @@
 // measures the real 2mm kernel with the monitor stack to show the
 // real-hardware profiling path (wall clock; Joules only when the host
 // exposes RAPL).
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string>
 
 #include "margot/kb_io.hpp"
 #include "socrates/adaptive_app.hpp"
@@ -21,7 +24,11 @@ int main() {
   using M = margot::ContextMetrics;
 
   const auto model = platform::PerformanceModel::paper_platform();
-  const char* kb_path = "/tmp/socrates_2mm_knowledge.csv";
+  // One file per process, so concurrent runs never share it.
+  const std::string kb_path =
+      (std::filesystem::temp_directory_path() /
+       ("socrates_2mm_knowledge." + std::to_string(::getpid()) + ".csv"))
+          .string();
 
   // ---- offline: build + persist --------------------------------------
   {
@@ -33,23 +40,23 @@ int main() {
     std::ofstream out(kb_path);
     margot::save_knowledge(binary.knowledge, out);
     std::printf("offline: profiled %zu operating points -> %s\n",
-                binary.knowledge.size(), kb_path);
+                binary.knowledge.size(), kb_path.c_str());
   }
 
   // ---- online: load + adapt -------------------------------------------
   {
     std::ifstream in(kb_path);
     auto knowledge = margot::load_knowledge(in);
+    std::filesystem::remove(kb_path);
     std::printf("online:  loaded %zu operating points, starting the AS-RTM\n",
                 knowledge.size());
 
-    // Rebuild the runtime around the loaded knowledge.  The design
-    // space is reconstructed from the same reduced space definition.
-    ToolchainOptions opts;
-    opts.use_paper_cfs = true;
-    opts.dse_repetitions = 1;  // throwaway: only the space layout is used
-    Pipeline pipeline(model, opts);
-    auto binary = pipeline.build("2mm");
+    // Rebuild the runtime around the loaded knowledge.  The offline
+    // build ran on the paper's space (paper CFs), so the schema rebuilds
+    // that space: no toolchain run, no profiling.
+    AdaptiveBinary binary;
+    binary.benchmark = "2mm";
+    binary.space = platform::DesignSpace::paper_space(model.topology());
     binary.knowledge = std::move(knowledge);
 
     AdaptiveApplication app(std::move(binary), model);

@@ -18,8 +18,11 @@
 // active phase) is journaled by a CheckpointStore, so a killed process
 // resumes at its pre-crash operating point instead of re-learning the
 // platform from scratch.
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "margot/checkpoint.hpp"
@@ -118,7 +121,9 @@ int main() {
   // ---- crash-safe knowledge: kill the process, keep the learning --------
   std::printf("== kill-and-resume: the overnight phase survives a crash ==\n");
   namespace fs = std::filesystem;
-  const auto ckpt_dir = fs::temp_directory_path() / "socrates_phase_aware_ckpt";
+  // One directory per process, so concurrent runs never share it.
+  const auto ckpt_dir = fs::temp_directory_path() /
+                        ("socrates_phase_aware_ckpt." + std::to_string(::getpid()));
   fs::remove_all(ckpt_dir);
   fs::create_directories(ckpt_dir);
   const std::string ckpt = (ckpt_dir / "syrk.ckpt").string();

@@ -42,9 +42,10 @@ int main() {
   asrtm.set_rank(margot::Rank::minimize_exec_time(M::kExecTime));
   asrtm.add_constraint({M::kPower, margot::ComparisonOp::kLessEqual, 90.0, 0, 1.0});
   const auto& op = asrtm.best_operating_point();
-  const auto config = dse::decode_knobs(binary.space, op.knobs);
+  const auto point = binary.space.decode(op.knobs);
+  const auto config = binary.space.configuration(point);
   std::printf("best under 90 W:   %s, %zu threads, %s  ->  %.0f ms @ %.1f W\n",
-              binary.space.configs[static_cast<std::size_t>(op.knobs[0])].name.c_str(),
+              binary.space.configs[point.config].name.c_str(),
               config.threads, platform::to_string(config.binding),
               op.metrics[M::kExecTime].mean * 1e3, op.metrics[M::kPower].mean);
 

@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
       is_bundled(target) ? kernels::benchmark_source(target) : read_file(target);
 
   try {
-    const auto woven = weaver::weave_benchmark_paper_space(target, source);
+    const auto model = platform::PerformanceModel::paper_platform();
+    const auto woven = weaver::weave_benchmark(
+        target, source, platform::DesignSpace::paper_space(model.topology()).clones());
     if (!metrics_only && !autotune) std::fputs(ir::print(woven.unit).c_str(), stdout);
     const auto& r = woven.report;
     std::fprintf(stderr,
@@ -80,7 +82,6 @@ int main(int argc, char** argv) {
                  woven.kernels.empty() ? 0 : woven.kernels.front().versions.size());
     if (autotune) {
       using M = margot::ContextMetrics;
-      const auto model = platform::PerformanceModel::paper_platform();
       ToolchainOptions opts;
       opts.dse_repetitions = 3;
       Pipeline pipeline(model, opts);
@@ -97,10 +98,10 @@ int main(int argc, char** argv) {
         margot::Asrtm asrtm(binary.knowledge);
         asrtm.set_rank(rank);
         const auto& op = asrtm.best_operating_point();
-        const auto config = dse::decode_knobs(binary.space, op.knobs);
+        const auto point = binary.space.decode(op.knobs);
+        const auto config = binary.space.configuration(point);
         std::printf("  %-22s %s, %zu threads, %s -> %.0f ms @ %.1f W\n", label,
-                    binary.space.configs[static_cast<std::size_t>(op.knobs[0])]
-                        .name.c_str(),
+                    binary.space.configs[point.config].name.c_str(),
                     config.threads, platform::to_string(config.binding),
                     op.metrics[M::kExecTime].mean * 1e3, op.metrics[M::kPower].mean);
       };

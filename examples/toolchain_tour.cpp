@@ -73,10 +73,11 @@ int main(int argc, char** argv) {
   margot::Asrtm asrtm(binary.knowledge);
   asrtm.set_rank(margot::Rank::maximize_throughput_per_watt2(M::kThroughput, M::kPower));
   const auto& op = asrtm.best_operating_point();
-  const auto config = dse::decode_knobs(binary.space, op.knobs);
+  const auto point = binary.space.decode(op.knobs);
+  const auto config = binary.space.configuration(point);
   std::printf("\n[5] AS-RTM (maximize Thr/W^2): %s, %zu threads, %s "
               "-> %.0f ms @ %.1f W\n",
-              binary.space.configs[static_cast<std::size_t>(op.knobs[0])].name.c_str(),
+              binary.space.configs[point.config].name.c_str(),
               config.threads, platform::to_string(config.binding),
               op.metrics[M::kExecTime].mean * 1e3, op.metrics[M::kPower].mean);
 

@@ -7,44 +7,8 @@
 
 #include "support/error.hpp"
 #include "support/serialize.hpp"
-#include "support/statistics.hpp"
 
 namespace socrates::dse {
-
-DesignSpace DesignSpace::paper_space(const platform::MachineTopology& topology) {
-  DesignSpace space;
-  space.configs = platform::reduced_design_space();
-  for (std::size_t t = 1; t <= topology.logical_cores(); ++t)
-    space.thread_counts.push_back(t);
-  space.bindings = {platform::BindingPolicy::kClose, platform::BindingPolicy::kSpread};
-  return space;
-}
-
-ProfiledPoint profile_point(const platform::PerformanceModel& model,
-                            const platform::KernelModelParams& kernel,
-                            const DesignSpace& space, std::size_t config_index,
-                            std::size_t threads, platform::BindingPolicy binding,
-                            std::size_t repetitions, Rng& noise, double work_scale) {
-  SOCRATES_REQUIRE(config_index < space.configs.size());
-  ProfiledPoint p;
-  p.config_index = config_index;
-  p.config_name = space.configs[config_index].name;
-  p.configuration =
-      platform::Configuration{space.configs[config_index].config, threads, binding};
-
-  RunningStats time_stats;
-  RunningStats power_stats;
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    const auto m = model.evaluate(kernel, p.configuration, &noise, work_scale);
-    time_stats.add(m.exec_time_s);
-    power_stats.add(m.avg_power_w);
-  }
-  p.exec_time_mean_s = time_stats.mean();
-  p.exec_time_stddev_s = time_stats.stddev();
-  p.power_mean_w = power_stats.mean();
-  p.power_stddev_w = power_stats.stddev();
-  return p;
-}
 
 void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points) {
   out << "profile v1 " << points.size() << '\n';
@@ -53,7 +17,7 @@ void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points) {
     out << p.config_index << ' ' << p.config_name << ' '
         << static_cast<int>(p.configuration.flags.level()) << ' '
         << p.configuration.flags.flag_bits() << ' ' << p.configuration.threads << ' '
-        << (p.configuration.binding == platform::BindingPolicy::kClose ? 0 : 1) << ' '
+        << platform::DesignSpace::binding_code(p.configuration.binding) << ' '
         << format_exact(p.exec_time_mean_s) << ' ' << format_exact(p.exec_time_stddev_s)
         << ' ' << format_exact(p.power_mean_w) << ' ' << format_exact(p.power_stddev_w)
         << '\n';
@@ -75,13 +39,11 @@ std::vector<ProfiledPoint> load_profile(std::istream& in) {
     unsigned bits = 0;
     in >> p.config_index >> p.config_name >> level >> bits >> p.configuration.threads >>
         binding;
-    SOCRATES_REQUIRE_MSG(in && level >= 0 && level <= 3 && bits < 64 &&
-                             (binding == 0 || binding == 1),
+    SOCRATES_REQUIRE_MSG(in && level >= 0 && level <= 3 && bits < 64,
                          "malformed profile point");
     p.configuration.flags =
         platform::FlagConfig(static_cast<platform::OptLevel>(level), bits);
-    p.configuration.binding = binding == 0 ? platform::BindingPolicy::kClose
-                                           : platform::BindingPolicy::kSpread;
+    p.configuration.binding = platform::DesignSpace::binding_of_code(binding);
     p.exec_time_mean_s = parse_exact(in);
     p.exec_time_stddev_s = parse_exact(in);
     p.power_mean_w = parse_exact(in);
@@ -126,15 +88,14 @@ std::vector<std::size_t> pareto_filter(const std::vector<ProfiledPoint>& points)
   return front;
 }
 
-margot::KnowledgeBase to_knowledge_base(const std::vector<ProfiledPoint>& points) {
+margot::KnowledgeBase to_knowledge_base(const platform::DesignSpace& space,
+                                        const std::vector<ProfiledPoint>& points) {
   SOCRATES_REQUIRE(!points.empty());
-  margot::KnowledgeBase kb({"config", "threads", "binding"},
-                           {"exec_time_s", "power_w", "throughput"});
+  margot::KnowledgeBase kb(platform::DesignSpace::knob_names(),
+                           platform::DesignSpace::metric_names());
   for (const auto& p : points) {
     margot::OperatingPoint op;
-    op.knobs = {static_cast<int>(p.config_index),
-                static_cast<int>(p.configuration.threads),
-                p.configuration.binding == platform::BindingPolicy::kClose ? 0 : 1};
+    op.knobs = space.knob_row(space.point(p.config_index, p.configuration));
     // Throughput stddev via first-order error propagation: d(1/t) = dt/t^2.
     const double thr_stddev =
         p.exec_time_stddev_s / (p.exec_time_mean_s * p.exec_time_mean_s);
@@ -146,7 +107,8 @@ margot::KnowledgeBase to_knowledge_base(const std::vector<ProfiledPoint>& points
   return kb;
 }
 
-margot::KnowledgeBase to_knowledge_base(const std::vector<ProfiledPoint>& points,
+margot::KnowledgeBase to_knowledge_base(const platform::DesignSpace& space,
+                                        const std::vector<ProfiledPoint>& points,
                                         const std::vector<std::size_t>& indices) {
   SOCRATES_REQUIRE(!indices.empty());
   std::vector<ProfiledPoint> selected;
@@ -155,22 +117,7 @@ margot::KnowledgeBase to_knowledge_base(const std::vector<ProfiledPoint>& points
     SOCRATES_REQUIRE(i < points.size());
     selected.push_back(points[i]);
   }
-  return to_knowledge_base(selected);
-}
-
-platform::Configuration decode_knobs(const DesignSpace& space,
-                                     const std::vector<int>& knobs) {
-  SOCRATES_REQUIRE(knobs.size() == 3);
-  const auto ci = static_cast<std::size_t>(knobs[0]);
-  SOCRATES_REQUIRE(ci < space.configs.size());
-  SOCRATES_REQUIRE(knobs[1] >= 1);
-  SOCRATES_REQUIRE(knobs[2] == 0 || knobs[2] == 1);
-  platform::Configuration config;
-  config.flags = space.configs[ci].config;
-  config.threads = static_cast<std::size_t>(knobs[1]);
-  config.binding =
-      knobs[2] == 0 ? platform::BindingPolicy::kClose : platform::BindingPolicy::kSpread;
-  return config;
+  return to_knowledge_base(space, selected);
 }
 
 }  // namespace socrates::dse

@@ -9,30 +9,37 @@
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/statistics.hpp"
 
 namespace socrates::dse {
 
-Explorer::~Explorer() = default;
+namespace {
 
-namespace detail {
-
-FlatPoint decompose_flat(const DesignSpace& space, std::size_t flat) {
-  const std::size_t n_threads = space.thread_counts.size();
-  const std::size_t n_bindings = space.bindings.size();
-  FlatPoint p;
-  p.config = flat / (n_threads * n_bindings);
-  p.thread = (flat / n_bindings) % n_threads;
-  p.binding = flat % n_bindings;
+/// Measures one design point: ctx.repetitions runs drawing from `noise`.
+ProfiledPoint profile_point(const ExploreContext& ctx,
+                            const platform::DesignSpace::Point& point, Rng& noise) {
+  ProfiledPoint p;
+  p.configuration = ctx.space.configuration(point);
+  p.config_index = point.config;
+  p.config_name = ctx.space.configs[point.config].name;
+  RunningStats time_stats;
+  RunningStats power_stats;
+  for (std::size_t r = 0; r < ctx.repetitions; ++r) {
+    const auto m =
+        ctx.model.evaluate(ctx.kernel, p.configuration, &noise, ctx.work_scale);
+    time_stats.add(m.exec_time_s);
+    power_stats.add(m.avg_power_w);
+  }
+  p.exec_time_mean_s = time_stats.mean();
+  p.exec_time_stddev_s = time_stats.stddev();
+  p.power_mean_w = power_stats.mean();
+  p.power_stddev_w = power_stats.stddev();
   return p;
 }
 
-std::size_t compose_flat(const DesignSpace& space, const FlatPoint& p) {
-  const std::size_t n_threads = space.thread_counts.size();
-  const std::size_t n_bindings = space.bindings.size();
-  return (p.config * n_threads + p.thread) * n_bindings + p.binding;
-}
+}  // namespace
 
-}  // namespace detail
+Explorer::~Explorer() = default;
 
 // ---- the per-point loop ----------------------------------------------------
 
@@ -43,7 +50,6 @@ ExploreResult profile_points(const ExploreContext& ctx,
                                                             << ")");
   SOCRATES_REQUIRE_MSG(ctx.space.size() > 0, "DSE design space is empty");
   SOCRATES_REQUIRE(ctx.point_attempts >= 1);
-  const DesignSpace& space = ctx.space;
 
   std::vector<ProfiledPoint> slots(flat_indices.size());
   std::vector<char> dropped(flat_indices.size(), 0);
@@ -57,7 +63,7 @@ ExploreResult profile_points(const ExploreContext& ctx,
     TraceSpan span("dse-point", "dse");
     const std::size_t flat = flat_indices[k];
     span.set_arg("point", static_cast<std::int64_t>(flat));
-    const detail::FlatPoint fp = detail::decompose_flat(space, flat);
+    const platform::DesignSpace::Point point = ctx.space.point(flat);
     for (std::size_t attempt = 0; attempt < ctx.point_attempts; ++attempt) {
       try {
         // Indexed (not counter-based) chaos draw: the decision for
@@ -70,10 +76,7 @@ ExploreResult profile_points(const ExploreContext& ctx,
         // surviving measurement is bit-identical to a chaos-free run
         // of any strategy.
         Rng noise(derive_stream(ctx.seed, flat));
-        slots[k] = profile_point(ctx.model, ctx.kernel, space, fp.config,
-                                 space.thread_counts[fp.thread],
-                                 space.bindings[fp.binding], ctx.repetitions, noise,
-                                 ctx.work_scale);
+        slots[k] = profile_point(ctx, point, noise);
         points_profiled.add(1);
         return;
       } catch (const std::logic_error&) {

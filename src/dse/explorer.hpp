@@ -11,10 +11,11 @@
 //
 // The determinism contract every strategy honours (docs/DSE.md): a
 // design point is identified by its *flat index* in the full factorial
-// space, and its measurement noise always comes from the RNG stream
-// (seed, flat index).  Any point profiled by any strategy is therefore
-// bit-identical to the same point profiled by the full sweep — at any
-// SOCRATES_JOBS, in any profiling order.  The two-stage search draws
+// space (platform::DesignSpace owns the layout), and its measurement
+// noise always comes from the RNG stream (seed, flat index).  Any
+// point profiled by any strategy is therefore bit-identical to the
+// same point profiled by the full sweep — at any SOCRATES_JOBS, in
+// any profiling order.  The two-stage search draws
 // from no RNG stream of its own: its seeds come from the noise-free
 // model and its polish from the measured front, so the *choice* of
 // points is deterministic too.
@@ -36,7 +37,7 @@ namespace socrates::dse {
 struct ExploreContext {
   const platform::PerformanceModel& model;
   const platform::KernelModelParams& kernel;
-  const DesignSpace& space;
+  const platform::DesignSpace& space;
   std::size_t repetitions = 1;  ///< noisy runs per profiled point
   std::uint64_t seed = 0;       ///< master seed of the per-point streams
   double work_scale = 1.0;
@@ -116,21 +117,5 @@ std::unique_ptr<Explorer> make_explorer(const DseStrategyOptions& options,
 /// and `flat` names them; `evaluated` is flat_indices.size().
 ExploreResult profile_points(const ExploreContext& ctx,
                              const std::vector<std::size_t>& flat_indices);
-
-namespace detail {
-
-/// (config, threads, binding) indices of a flat point.
-struct FlatPoint {
-  std::size_t config = 0;
-  std::size_t thread = 0;   ///< index into space.thread_counts
-  std::size_t binding = 0;  ///< index into space.bindings
-};
-
-/// The only code that knows the flat layout: config-major, then thread
-/// count, then binding — the full sweep's enumeration order.
-FlatPoint decompose_flat(const DesignSpace& space, std::size_t flat);
-std::size_t compose_flat(const DesignSpace& space, const FlatPoint& p);
-
-}  // namespace detail
 
 }  // namespace socrates::dse

@@ -163,24 +163,4 @@ double pareto_hypervolume(const std::vector<ProfiledPoint>& points, double ref_p
   return volume;
 }
 
-std::vector<ClonePair> clone_pairs(const std::vector<ProfiledPoint>& points,
-                                   const std::vector<std::size_t>& indices) {
-  std::vector<ClonePair> pairs;
-  for (const std::size_t i : indices) {
-    SOCRATES_REQUIRE(i < points.size());
-    pairs.push_back({points[i].config_index, points[i].configuration.binding});
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const ClonePair& a, const ClonePair& b) {
-    if (a.config_index != b.config_index) return a.config_index < b.config_index;
-    return static_cast<int>(a.binding) < static_cast<int>(b.binding);
-  });
-  pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                          [](const ClonePair& a, const ClonePair& b) {
-                            return a.config_index == b.config_index &&
-                                   a.binding == b.binding;
-                          }),
-              pairs.end());
-  return pairs;
-}
-
 }  // namespace socrates::dse

@@ -14,8 +14,9 @@
 // dominated area it preserves.
 //
 // socrates::Pipeline applies it between the Dse and Weave stages when
-// SOCRATES_DSE_PRUNE > 0: the weaver then emits only the pruned clone
-// pairs and to_knowledge_base exports only the representatives.
+// SOCRATES_DSE_PRUNE > 0: the weaver then emits only the clones that
+// run the representatives (platform::DesignSpace::clones) and
+// to_knowledge_base exports only the representatives.
 #pragma once
 
 #include <cstddef>
@@ -54,17 +55,5 @@ RepresentativeSet select_representatives(const std::vector<ProfiledPoint>& point
 /// above the reference contribute nothing.  The bench compares fronts
 /// via the ratio of their hypervolumes at a shared reference.
 double pareto_hypervolume(const std::vector<ProfiledPoint>& points, double ref_power);
-
-/// One clone the weaver must emit for a pruned profile.
-struct ClonePair {
-  std::size_t config_index = 0;  ///< into DesignSpace::configs
-  platform::BindingPolicy binding = platform::BindingPolicy::kClose;
-};
-
-/// The unique (config, binding) pairs behind `indices` (into `points`),
-/// in config-major-then-binding order — the version-id order
-/// weaver::apply_multiversioning assigns.
-std::vector<ClonePair> clone_pairs(const std::vector<ProfiledPoint>& points,
-                                   const std::vector<std::size_t>& indices);
 
 }  // namespace socrates::dse

@@ -50,7 +50,7 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
                                                            << " outside the space");
 
   TraceSpan span("dse-explore", "dse");
-  const DesignSpace& space = ctx.space;
+  const platform::DesignSpace& space = ctx.space;
   const std::size_t total = space.size();
   const std::size_t n_threads = space.thread_counts.size();
   const std::size_t budget = resolved_budget(total);
@@ -126,12 +126,10 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   // Prune stage uses), and the per-seed-config champions.
   std::vector<ProfiledPoint> surrogate(total);
   for (std::size_t flat = 0; flat < total; ++flat) {
-    const auto fp = detail::decompose_flat(space, flat);
-    const platform::Configuration config{space.configs[fp.config].config,
-                                         space.thread_counts[fp.thread],
-                                         space.bindings[fp.binding]};
+    const auto point = space.point(flat);
+    const platform::Configuration config = space.configuration(point);
     const auto m = ctx.model.evaluate(ctx.kernel, config, nullptr, ctx.work_scale);
-    surrogate[flat].config_index = fp.config;
+    surrogate[flat].config_index = point.config;
     surrogate[flat].configuration = config;
     surrogate[flat].exec_time_mean_s = m.exec_time_s;
     surrogate[flat].power_mean_w = m.avg_power_w;
@@ -177,11 +175,11 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
     // Champions of the COBAYN-predicted config: best throughput and
     // best efficiency across its (threads x binding) slice, walked in
     // flat order so ties go to the lower index.
-    std::size_t best_thr = detail::compose_flat(space, {ci, 0, 0});
+    std::size_t best_thr = space.flat({ci, 0, 0});
     std::size_t best_eff = best_thr;
     for (std::size_t ti = 0; ti < n_threads; ++ti) {
       for (std::size_t bi = 0; bi < space.bindings.size(); ++bi) {
-        const std::size_t flat = detail::compose_flat(space, {ci, ti, bi});
+        const std::size_t flat = space.flat({ci, ti, bi});
         if (surrogate[flat].throughput() > surrogate[best_thr].throughput())
           best_thr = flat;
         if (efficiency(surrogate[flat]) > efficiency(surrogate[best_eff]))
@@ -202,9 +200,9 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   while (remaining() > 0 && !archive.empty()) {
     std::vector<std::size_t> neighbours;
     for (const std::size_t flat : archive_front()) {
-      const auto fp = detail::decompose_flat(space, flat);
-      const auto push = [&](detail::FlatPoint p) {
-        const std::size_t f = detail::compose_flat(space, p);
+      const auto fp = space.point(flat);
+      const auto push = [&](platform::DesignSpace::Point p) {
+        const std::size_t f = space.flat(p);
         if (attempted.count(f) == 0) neighbours.push_back(f);
       };
       if (fp.thread > 0) push({fp.config, fp.thread - 1, fp.binding});

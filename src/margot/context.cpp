@@ -6,14 +6,11 @@
 
 #include "observability/metrics.hpp"
 #include "observability/trace.hpp"
+#include "platform/design_space.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace socrates::margot {
-
-std::vector<std::string> ContextMetrics::names() {
-  return {"exec_time_s", "power_w", "throughput"};
-}
 
 RobustnessOptions RobustnessOptions::hardened() {
   RobustnessOptions options;
@@ -36,7 +33,8 @@ RobustnessOptions RobustnessOptions::raw() {
 Context::Context(KnowledgeBase knowledge, const platform::Clock& clock,
                  const platform::EnergyCounter& energy, std::size_t monitor_window)
     : asrtm_([&] {
-        SOCRATES_REQUIRE_MSG(knowledge.metric_names() == ContextMetrics::names(),
+        SOCRATES_REQUIRE_MSG(knowledge.metric_names() ==
+                                 platform::DesignSpace::metric_names(),
                              "Context requires the (exec_time_s, power_w, throughput) "
                              "metric schema");
         return Asrtm(std::move(knowledge));

@@ -29,13 +29,12 @@
 
 namespace socrates::margot {
 
-/// Names of the metrics a Context-managed knowledge base must provide,
-/// in schema order: exec_time_s, power_w, throughput.
+/// Columns of the metrics a Context-managed knowledge base must
+/// provide: platform::DesignSpace::metric_names(), in that order.
 struct ContextMetrics {
   static constexpr std::size_t kExecTime = 0;
   static constexpr std::size_t kPower = 1;
   static constexpr std::size_t kThroughput = 2;
-  static std::vector<std::string> names();
 };
 
 /// Switchboard for the fault-tolerance layers (docs/ROBUSTNESS.md).
@@ -76,7 +75,7 @@ struct RobustnessOptions {
 
 class Context {
  public:
-  /// `knowledge` must use the ContextMetrics schema.
+  /// `knowledge` must carry DesignSpace::metric_names() (ContextMetrics).
   Context(KnowledgeBase knowledge, const platform::Clock& clock,
           const platform::EnergyCounter& energy, std::size_t monitor_window = 5);
 

@@ -1,21 +1,9 @@
 #include "observability/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 namespace socrates {
-
-namespace {
-
-std::size_t bucket_of(double value) {
-  if (!(value > 0.0)) return 0;
-  const double exponent = std::floor(std::log10(value));
-  const double clamped = std::clamp(exponent, -9.0, 9.0);
-  return static_cast<std::size_t>(clamped + 9.0);
-}
-
-}  // namespace
 
 void Histogram::observe(double value) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -27,7 +15,6 @@ void Histogram::observe(double value) {
   }
   ++data_.count;
   data_.sum += value;
-  ++data_.buckets[bucket_of(value)];
 }
 
 Histogram::Snapshot Histogram::snapshot() const {

@@ -46,13 +46,9 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution summary: count/sum/min/max plus decade buckets
-/// (10^-9 .. 10^9; values outside clamp to the edge buckets,
-/// non-positive values land in the lowest).
+/// Distribution summary: count/sum/min/max (and their mean).
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 19;
-
   void observe(double value);
 
   struct Snapshot {
@@ -60,7 +56,6 @@ class Histogram {
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
-    std::size_t buckets[kBuckets] = {};
 
     double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
   };

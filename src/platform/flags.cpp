@@ -112,12 +112,6 @@ std::vector<NamedConfig> paper_custom_configs() {
   return {{"CF1", cf1}, {"CF2", cf2}, {"CF3", cf3}, {"CF4", cf4}};
 }
 
-std::vector<NamedConfig> reduced_design_space() {
-  auto out = standard_levels();
-  for (auto& c : paper_custom_configs()) out.push_back(std::move(c));
-  return out;
-}
-
 std::vector<FlagConfig> cobayn_search_space() {
   std::vector<FlagConfig> out;
   out.reserve(2u << kFlagCount);

@@ -81,10 +81,6 @@ std::vector<NamedConfig> standard_levels();
 ///   CF4: O2, no-inline
 std::vector<NamedConfig> paper_custom_configs();
 
-/// standard_levels() followed by paper_custom_configs() — the reduced
-/// 8-point design space used by the experiments.
-std::vector<NamedConfig> reduced_design_space();
-
 /// The full iterative-compilation space COBAYN searches: {O2, O3} x
 /// all 64 subsets of the six flags = 128 configurations.
 std::vector<FlagConfig> cobayn_search_space();

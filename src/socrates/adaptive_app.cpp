@@ -23,14 +23,16 @@ AdaptiveApplication::AdaptiveApplication(AdaptiveBinary binary,
     : binary_(std::move(binary)),
       executor_(platform, kernels::find_benchmark(binary_.benchmark).model, work_scale,
                 noise_seed),
-      context_(binary_.knowledge, executor_.sensor_clock(), executor_.sensor_counter()) {}
+      context_(binary_.knowledge, executor_.sensor_clock(), executor_.sensor_counter()),
+      knobs_(platform::DesignSpace::knob_names().size()) {}
 
 TraceSample AdaptiveApplication::run_iteration() {
   TraceSample sample;
   sample.configuration_changed = context_.update(knobs_);
 
-  const platform::Configuration config = dse::decode_knobs(binary_.space, knobs_);
-  sample.config_name = binary_.space.configs[static_cast<std::size_t>(knobs_[0])].name;
+  const auto point = binary_.space.decode(knobs_);
+  const platform::Configuration config = binary_.space.configuration(point);
+  sample.config_name = binary_.space.configs[point.config].name;
   sample.threads = config.threads;
   sample.binding = config.binding;
 

@@ -98,7 +98,7 @@ class AdaptiveApplication {
   AdaptiveBinary binary_;
   platform::KernelExecutor executor_;
   margot::Context context_;
-  std::vector<int> knobs_{0, 0, 0};
+  std::vector<int> knobs_;  ///< one slot per DesignSpace knob
 };
 
 }  // namespace socrates

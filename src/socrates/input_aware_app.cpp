@@ -35,7 +35,8 @@ InputAwareApplication::InputAwareApplication(InputAwareBinary binary,
                                              std::uint64_t noise_seed)
     : binary_(std::move(binary)),
       executor_(platform, kernels::find_benchmark(binary_.benchmark).model,
-                /*work_scale=*/1.0, noise_seed) {
+                /*work_scale=*/1.0, noise_seed),
+      knobs_(platform::DesignSpace::knob_names().size()) {
   SOCRATES_REQUIRE(binary_.knowledge.cluster_count() >= 1);
   contexts_.reserve(binary_.knowledge.cluster_count());
   for (std::size_t i = 0; i < binary_.knowledge.cluster_count(); ++i) {
@@ -75,7 +76,8 @@ TraceSample InputAwareApplication::run_iteration() {
 
   TraceSample sample;
   sample.configuration_changed = ctx.update(knobs_);
-  const platform::Configuration config = dse::decode_knobs(binary_.space, knobs_);
+  const auto point = binary_.space.decode(knobs_);
+  const platform::Configuration config = binary_.space.configuration(point);
 
   ctx.start_monitors();
   const platform::Measurement m = executor_.run(config);
@@ -84,7 +86,7 @@ TraceSample InputAwareApplication::run_iteration() {
   sample.timestamp_s = executor_.clock().now_s();
   sample.exec_time_s = m.exec_time_s;
   sample.power_w = m.avg_power_w;
-  sample.config_name = binary_.space.configs[static_cast<std::size_t>(knobs_[0])].name;
+  sample.config_name = binary_.space.configs[point.config].name;
   sample.threads = config.threads;
   sample.binding = config.binding;
   return sample;

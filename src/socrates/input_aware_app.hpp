@@ -27,7 +27,7 @@ namespace socrates {
 /// per profiled dataset scale.
 struct InputAwareBinary {
   std::string benchmark;
-  dse::DesignSpace space;
+  platform::DesignSpace space;
   margot::MultiKnowledge knowledge;
   std::vector<double> profiled_scales;
 };
@@ -69,7 +69,7 @@ class InputAwareApplication {
   std::size_t active_ = 0;
   double current_scale_ = 1.0;
   bool input_set_ = false;
-  std::vector<int> knobs_{0, 0, 0};
+  std::vector<int> knobs_;  ///< one slot per DesignSpace knob
 };
 
 }  // namespace socrates

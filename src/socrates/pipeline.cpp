@@ -123,9 +123,9 @@ std::uint64_t cobayn_artifact_key(const platform::PerformanceModel& platform,
 std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
                                const std::string& source,
                                const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale,
-                               const dse::Explorer& explorer,
+                               const platform::DesignSpace& space,
+                               std::size_t repetitions, std::uint64_t seed,
+                               double work_scale, const dse::Explorer& explorer,
                                std::uint64_t stage_version) {
   Hasher h;
   h.add("dse-profile");
@@ -137,16 +137,7 @@ std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
   h.add(params.vectorization_affinity).add(params.fp_ratio).add(params.branchiness);
   h.add(params.call_density).add(params.icache_sensitivity);
   h.add(params.ivopt_sensitivity).add(params.loop_opt_sensitivity);
-  h.add(static_cast<std::uint64_t>(space.configs.size()));
-  for (const auto& c : space.configs) {
-    h.add(c.name);
-    h.add(static_cast<std::uint64_t>(c.config.level()));
-    h.add(static_cast<std::uint64_t>(c.config.flag_bits()));
-  }
-  h.add(static_cast<std::uint64_t>(space.thread_counts.size()));
-  for (const std::size_t t : space.thread_counts) h.add(static_cast<std::uint64_t>(t));
-  h.add(static_cast<std::uint64_t>(space.bindings.size()));
-  for (const auto b : space.bindings) h.add(static_cast<std::uint64_t>(b));
+  space.add_to_key(h);
   h.add(static_cast<std::uint64_t>(repetitions));
   h.add(seed);
   h.add(work_scale);
@@ -210,7 +201,7 @@ const cobayn::CobaynModel& Pipeline::cobayn_model() const {
 
 Pipeline::ExploreCacheResult Pipeline::explore_cached(
     const std::string& source, const platform::KernelModelParams& params,
-    const dse::DesignSpace& space, std::size_t repetitions, std::uint64_t seed,
+    const platform::DesignSpace& space, std::size_t repetitions, std::uint64_t seed,
     double work_scale, const dse::Explorer& explorer) {
   const std::uint64_t key = dse_artifact_key(platform_, source, params, space,
                                              repetitions, seed, work_scale, explorer);
@@ -268,14 +259,8 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
                                     const platform::KernelModelParams& params,
                                     double work_scale) {
   report_ = {};
-  AdaptiveBinary out{name,
-                     {},
-                     {},
-                     {},
-                     {},
-                     {},
-                     margot::KnowledgeBase({"config", "threads", "binding"},
-                                           {"exec_time_s", "power_w", "throughput"})};
+  AdaptiveBinary out;
+  out.benchmark = name;
   ChaosEngine& chaos = ChaosEngine::global();
 
   const auto push_stage = [this](const char* stage_name, bool cache_hit,
@@ -351,22 +336,18 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
              std::move(predict_note));
 
   // Reduced design space: the 4 standard levels + the CFs.
-  std::vector<platform::NamedConfig> configs = platform::standard_levels();
-  for (const auto& cf : out.custom_configs) configs.push_back(cf);
+  out.space =
+      platform::DesignSpace::paper_space(platform_.topology(), out.custom_configs);
 
   // Dse: explore the space with the configured strategy (cached
   // artifact keyed by strategy + budget).  Faults are absorbed per
   // design point — a point that exhausts its attempts is dropped and
   // reported as reduced coverage, not a failed build.  Runs before
   // Weave so representative pruning can shrink the emitted clone set.
-  const std::vector<platform::BindingPolicy> bindings = {
-      platform::BindingPolicy::kClose, platform::BindingPolicy::kSpread};
-  out.space = dse::DesignSpace{configs, {}, bindings};
-  for (std::size_t t = 1; t <= platform_.topology().logical_cores(); ++t)
-    out.space.thread_counts.push_back(t);
   // The COBAYN-predicted configs seed the model-guided search.
   std::vector<std::size_t> seed_configs;
-  for (std::size_t ci = platform::standard_levels().size(); ci < configs.size(); ++ci)
+  for (std::size_t ci = platform::standard_levels().size(); ci < out.space.configs.size();
+       ++ci)
     seed_configs.push_back(ci);
   const auto explorer = dse::make_explorer(options_.dse, std::move(seed_configs));
   const StageScope dse_stage("Dse");
@@ -396,7 +377,7 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
   // Prune: cluster the explored Pareto front to at most K
   // representatives (Luo et al.); the weaver then emits only the
   // pruned clone set and the knowledge base only the representatives.
-  std::vector<weaver::CloneSpec> clone_specs;
+  std::vector<platform::CloneSpec> clones = out.space.clones();
   if (options_.dse.max_representatives > 0) {
     const StageScope prune_stage("Prune");
     dse::RepresentativeSet reps;
@@ -406,11 +387,14 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
                                          options_.dse.max_representatives);
     });
     out.representatives = reps.representatives;
-    for (const auto& pair : dse::clone_pairs(out.profile, out.representatives))
-      clone_specs.push_back({configs[pair.config_index], pair.binding});
+    std::vector<platform::DesignSpace::Point> kept;
+    for (const std::size_t i : out.representatives)
+      kept.push_back(
+          out.space.point(out.profile[i].config_index, out.profile[i].configuration));
+    clones = out.space.clones(kept);
     std::ostringstream os;
     os << "front " << reps.front.size() << " -> " << out.representatives.size()
-       << " representatives, " << clone_specs.size() << " clone(s)";
+       << " representatives, " << clones.size() << " clone(s)";
     push_stage("Prune", false, prune_stage.finish(), prune_sup, 0, os.str());
   }
 
@@ -421,9 +405,7 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
   const StageScope weave_stage("Weave");
   auto weave_sup = supervisor_.run_or_report("Weave", [&] {
     chaos.on_stage("stage.Weave");
-    out.woven = clone_specs.empty()
-                    ? weaver::weave_benchmark(name, source, configs, bindings)
-                    : weaver::weave_benchmark(name, source, clone_specs);
+    out.woven = weaver::weave_benchmark(name, source, clones);
   });
   std::string weave_note;
   if (!weave_sup.succeeded) {
@@ -439,9 +421,10 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
   const StageScope knowledge_stage("Knowledge");
   const auto knowledge_sup = supervisor_.run("Knowledge", [&] {
     chaos.on_stage("stage.Knowledge");
-    out.knowledge = out.representatives.empty()
-                        ? dse::to_knowledge_base(out.profile)
-                        : dse::to_knowledge_base(out.profile, out.representatives);
+    out.knowledge =
+        out.representatives.empty()
+            ? dse::to_knowledge_base(out.space, out.profile)
+            : dse::to_knowledge_base(out.space, out.profile, out.representatives);
   });
   push_stage("Knowledge", false, knowledge_stage.finish(), knowledge_sup, 0, {});
 
@@ -457,7 +440,7 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
 }
 
 std::vector<dse::ProfiledPoint> Pipeline::profile_space(
-    const std::string& benchmark_name, const dse::DesignSpace& space,
+    const std::string& benchmark_name, const platform::DesignSpace& space,
     std::size_t repetitions, std::uint64_t seed, double work_scale) {
   SOCRATES_REQUIRE(repetitions >= 1);
   const auto& bench = kernels::find_benchmark(benchmark_name);

@@ -65,9 +65,10 @@ struct AdaptiveBinary {
   features::FeatureVector kernel_features;
   std::vector<platform::NamedConfig> custom_configs;  ///< CF1..CFn
   weaver::WovenBenchmark woven;
-  dse::DesignSpace space;
+  platform::DesignSpace space;
   std::vector<dse::ProfiledPoint> profile;
-  margot::KnowledgeBase knowledge;
+  margot::KnowledgeBase knowledge{platform::DesignSpace::knob_names(),
+                                  platform::DesignSpace::metric_names()};
   /// Indices (into `profile`) of the representative points the clone
   /// set and knowledge base were pruned to; empty when pruning is off
   /// (the knowledge base then covers the whole profile).
@@ -121,9 +122,9 @@ std::uint64_t cobayn_artifact_key(const platform::PerformanceModel& platform,
 std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
                                const std::string& source,
                                const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale,
-                               const dse::Explorer& explorer,
+                               const platform::DesignSpace& space,
+                               std::size_t repetitions, std::uint64_t seed,
+                               double work_scale, const dse::Explorer& explorer,
                                std::uint64_t stage_version = kDseStageVersion);
 
 class Pipeline {
@@ -160,7 +161,7 @@ class Pipeline {
   /// benchmark through the artifact cache (the figure benches sweep
   /// design spaces directly).  Appends a Dse entry to last_report().
   std::vector<dse::ProfiledPoint> profile_space(const std::string& benchmark_name,
-                                                const dse::DesignSpace& space,
+                                                const platform::DesignSpace& space,
                                                 std::size_t repetitions,
                                                 std::uint64_t seed,
                                                 double work_scale = 1.0);
@@ -189,7 +190,7 @@ class Pipeline {
   };
   ExploreCacheResult explore_cached(const std::string& source,
                                     const platform::KernelModelParams& params,
-                                    const dse::DesignSpace& space,
+                                    const platform::DesignSpace& space,
                                     std::size_t repetitions, std::uint64_t seed,
                                     double work_scale, const dse::Explorer& explorer);
 

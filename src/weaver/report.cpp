@@ -6,11 +6,8 @@
 
 namespace socrates::weaver {
 
-namespace {
-
-template <typename ApplyMultiversioning>
-WovenBenchmark weave_impl(const std::string& name, const std::string& source,
-                          ApplyMultiversioning&& multiversion) {
+WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
+                               const std::vector<platform::CloneSpec>& clones) {
   WovenBenchmark out;
   out.unit = ir::parse(source);
   out.report.benchmark = name;
@@ -19,36 +16,13 @@ WovenBenchmark weave_impl(const std::string& name, const std::string& source,
 
   WeavingMetrics metrics;
   Weaver weaver(out.unit, metrics);
-  out.kernels = multiversion(weaver);
+  out.kernels = apply_multiversioning(weaver, clones);
   apply_autotuner(weaver, out.kernels);
 
   out.report.attributes = metrics.attributes_checked;
   out.report.actions = metrics.actions_performed;
   out.report.weaved_loc = ir::logical_loc(out.unit);
   return out;
-}
-
-}  // namespace
-
-WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
-                               const std::vector<platform::NamedConfig>& configs,
-                               const std::vector<platform::BindingPolicy>& bindings) {
-  return weave_impl(name, source, [&](Weaver& weaver) {
-    return apply_multiversioning(weaver, configs, bindings);
-  });
-}
-
-WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
-                               const std::vector<CloneSpec>& clones) {
-  return weave_impl(name, source, [&](Weaver& weaver) {
-    return apply_multiversioning(weaver, clones);
-  });
-}
-
-WovenBenchmark weave_benchmark_paper_space(const std::string& name,
-                                           const std::string& source) {
-  return weave_benchmark(name, source, platform::reduced_design_space(),
-                         {platform::BindingPolicy::kClose, platform::BindingPolicy::kSpread});
 }
 
 }  // namespace socrates::weaver

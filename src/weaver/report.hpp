@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "ir/ast.hpp"
-#include "platform/flags.hpp"
-#include "platform/topology.hpp"
+#include "platform/design_space.hpp"
 #include "weaver/strategies.hpp"
 
 namespace socrates::weaver {
@@ -33,20 +32,10 @@ struct WovenBenchmark {
   WeaveReport report;
 };
 
-/// Parses `source`, applies Multiversioning then Autotuner with the
-/// given version space, and collects the Table I metrics.
+/// Parses `source`, applies Multiversioning over `clones` (e.g.
+/// platform::DesignSpace::clones()) then Autotuner, and collects the
+/// Table I metrics.
 WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
-                               const std::vector<platform::NamedConfig>& configs,
-                               const std::vector<platform::BindingPolicy>& bindings);
-
-/// Same, over an explicit clone list — the pipeline's pruned-clone-set
-/// path (dse/representative.hpp).
-WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
-                               const std::vector<CloneSpec>& clones);
-
-/// Convenience: the paper's version space — reduced_design_space() x
-/// {close, spread}.
-WovenBenchmark weave_benchmark_paper_space(const std::string& name,
-                                           const std::string& source);
+                               const std::vector<platform::CloneSpec>& clones);
 
 }  // namespace socrates::weaver

@@ -63,19 +63,7 @@ std::string threads_variable(const std::string& kernel_name) {
 }
 
 std::vector<MultiversionedKernel> apply_multiversioning(
-    Weaver& weaver, const std::vector<platform::NamedConfig>& configs,
-    const std::vector<platform::BindingPolicy>& bindings) {
-  SOCRATES_REQUIRE(!configs.empty());
-  SOCRATES_REQUIRE(!bindings.empty());
-  std::vector<CloneSpec> clones;
-  clones.reserve(configs.size() * bindings.size());
-  for (const auto& named : configs)
-    for (const auto binding : bindings) clones.push_back({named, binding});
-  return apply_multiversioning(weaver, clones);
-}
-
-std::vector<MultiversionedKernel> apply_multiversioning(
-    Weaver& weaver, const std::vector<CloneSpec>& clones) {
+    Weaver& weaver, const std::vector<platform::CloneSpec>& clones) {
   SOCRATES_REQUIRE(!clones.empty());
 
   const auto kernels = weaver.select_functions_with_prefix("kernel_");

@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "ir/ast.hpp"
-#include "platform/flags.hpp"
-#include "platform/topology.hpp"
+#include "platform/design_space.hpp"
 #include "weaver/weaver.hpp"
 
 namespace socrates::weaver {
@@ -49,27 +48,13 @@ struct MultiversionedKernel {
 std::string version_variable(const std::string& kernel_name);
 std::string threads_variable(const std::string& kernel_name);
 
-/// One clone of the static version space: a compiler configuration
-/// bound to a binding policy.  The representative-set pruning of
-/// dse/representative.hpp emits a subset of the full cross product.
-struct CloneSpec {
-  platform::NamedConfig config;
-  platform::BindingPolicy binding = platform::BindingPolicy::kClose;
-};
-
-/// Applies Multiversioning to every "kernel_*" function of the unit.
-/// `configs` x `bindings` defines the static version space (num_threads
-/// stays dynamic, as in the paper).  Returns one entry per kernel.
+/// Applies Multiversioning to every "kernel_*" function of the unit,
+/// one clone per entry of `clones` (num_threads stays dynamic, as in
+/// the paper).  Version ids follow the list order —
+/// platform::DesignSpace::clones() gives the full space or a pruned
+/// representative set.  Returns one entry per kernel.
 std::vector<MultiversionedKernel> apply_multiversioning(
-    Weaver& weaver, const std::vector<platform::NamedConfig>& configs,
-    const std::vector<platform::BindingPolicy>& bindings);
-
-/// Multiversioning over an explicit clone list (e.g. a pruned
-/// representative set).  Version ids follow the list order; the
-/// cross-product overload delegates here with the historical
-/// config-major-then-binding order, so full-space weaves are unchanged.
-std::vector<MultiversionedKernel> apply_multiversioning(
-    Weaver& weaver, const std::vector<CloneSpec>& clones);
+    Weaver& weaver, const std::vector<platform::CloneSpec>& clones);
 
 /// Applies the Autotuner strategy: margot.h include, margot_init() in
 /// main, update/start/stop calls around every wrapper call site.

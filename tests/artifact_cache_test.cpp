@@ -241,7 +241,7 @@ TEST(ArtifactKeys, CobaynKeyTracksEveryInput) {
 }
 
 TEST(ArtifactKeys, DseKeyTracksEveryInput) {
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& bench = kernels::find_benchmark("2mm");
   const std::string source = kernels::benchmark_source("2mm");
   const dse::FullFactorialExplorer full;
@@ -267,16 +267,46 @@ TEST(ArtifactKeys, DseKeyTracksEveryInput) {
                              dse::TwoStageExplorer({})),
             base);
 
-  auto narrower = space;
-  narrower.thread_counts.pop_back();
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, narrower, 5, 2018, 1.0, full),
+  auto other = space;
+  other.thread_counts.pop_back();
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, other, 5, 2018, 1.0, full),
             base);
+  other = space;
+  other.configs[4].name = "CFx";
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, other, 5, 2018, 1.0, full),
+            base);
+  other = space;
+  other.bindings = {platform::BindingPolicy::kSpread, platform::BindingPolicy::kClose};
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, other, 5, 2018, 1.0, full),
+            base);
+}
+
+// The keys earlier builds stored their artifacts under.  A change that
+// moves one byte in or out of a key orphans every on-disk cache, so a
+// pin changes only on purpose, together with the stage version.
+TEST(ArtifactKeys, DseKeysArePinned) {
+  const auto space = platform::DesignSpace::paper_space(model().topology());
+  const auto& bench = kernels::find_benchmark("2mm");
+  const std::string source = kernels::benchmark_source("2mm");
+  dse::TwoStageExplorer::Params two_stage;
+  two_stage.seed_configs = {4, 5, 6, 7};
+  EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
+                             dse::FullFactorialExplorer()),
+            0x29300316a72b91a0ULL);
+  EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
+                             dse::TwoStageExplorer(two_stage)),
+            0x977272884929a711ULL);
+}
+
+TEST(ArtifactKeys, CobaynKeyIsPinned) {
+  EXPECT_EQ(cobayn_artifact_key(model(), 48, 2018, cobayn::TrainOptions{}),
+            0x4e5a9b911e110fadULL);
 }
 
 // ---- Serialized artifact formats ------------------------------------------------
 
 TEST(ArtifactFormats, ProfileRoundTripsExactly) {
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto points =
       dse::FullFactorialExplorer()
           .explore({model(), kernels::find_benchmark("mvt").model, space, 2, 11})
@@ -437,7 +467,7 @@ TEST(PipelineCache, DifferentWorkScaleOrSeedMissesTheCache) {
 TEST(PipelineCache, SecondProfileSpaceCallHitsTheDseCache) {
   ArtifactCache cache;
   Pipeline pipeline(model(), small_options(), &cache);
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
 
   const auto cold = pipeline.profile_space("atax", space, 2, 2018);
   ASSERT_NE(pipeline.last_report().stage("Dse"), nullptr);
@@ -472,7 +502,7 @@ TEST(PipelineCache, UnusableStoredArtifactTriggersRecomputeNotCrash) {
   // A profile that claims more points than it holds is unusable too:
   // the Dse stage re-profiles on its first attempt instead of failing
   // on an allocation for the claimed count.
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   cache.store(dse_artifact_key(model(), kernels::benchmark_source("atax"),
                                kernels::find_benchmark("atax").model, space, 2, 2018,
                                1.0, dse::FullFactorialExplorer()),

@@ -26,8 +26,9 @@ const platform::PerformanceModel& model() {
   return kModel;
 }
 
-const DesignSpace& space() {
-  static const DesignSpace kSpace = DesignSpace::paper_space(model().topology());
+const platform::DesignSpace& space() {
+  static const platform::DesignSpace kSpace =
+      platform::DesignSpace::paper_space(model().topology());
   return kSpace;
 }
 
@@ -70,22 +71,21 @@ TEST_F(DseExplorer, DecodeKnobsRoundTripsAcrossEveryStrategy) {
     ASSERT_EQ(result.flat.size(), result.points.size()) << e->name();
     for (std::size_t k = 0; k < result.points.size(); ++k) {
       const auto& p = result.points[k];
-      const auto fp = detail::decompose_flat(space(), result.flat[k]);
-      EXPECT_EQ(fp.config, p.config_index) << e->name() << " point " << k;
-      EXPECT_EQ(space().thread_counts[fp.thread], p.configuration.threads)
-          << e->name() << " point " << k;
-      EXPECT_EQ(space().bindings[fp.binding], p.configuration.binding)
-          << e->name() << " point " << k;
+      const auto point = space().point(result.flat[k]);
+      const auto config = space().configuration(point);
+      EXPECT_EQ(point.config, p.config_index) << e->name() << " point " << k;
+      EXPECT_EQ(config.threads, p.configuration.threads) << e->name() << " point " << k;
+      EXPECT_EQ(config.binding, p.configuration.binding) << e->name() << " point " << k;
     }
 
     std::set<std::tuple<std::size_t, int>> profiled;
     for (const auto& p : result.points)
       profiled.insert({p.configuration.threads, static_cast<int>(p.configuration.binding)});
 
-    const auto kb = to_knowledge_base(result.points);
+    const auto kb = to_knowledge_base(space(), result.points);
     ASSERT_EQ(kb.size(), result.points.size()) << e->name();
     for (const auto& op : kb.points()) {
-      const auto config = decode_knobs(space(), op.knobs);
+      const auto config = space().configuration(space().decode(op.knobs));
       EXPECT_TRUE(profiled.count({config.threads, static_cast<int>(config.binding)}))
           << e->name() << ": decoded a configuration that was never profiled";
     }
@@ -245,8 +245,8 @@ TEST_F(DseExplorer, SampledKnowledgeStillDrivesTheAsrtm) {
   const auto full = FullFactorialExplorer().explore(context(kernel, 3, 2018)).points;
   const auto sampled = TwoStageExplorer(params).explore(context(kernel, 3, 2018)).points;
 
-  margot::Asrtm full_rtm(to_knowledge_base(full));
-  margot::Asrtm samp_rtm(to_knowledge_base(sampled));
+  margot::Asrtm full_rtm(to_knowledge_base(space(), full));
+  margot::Asrtm samp_rtm(to_knowledge_base(space(), sampled));
   for (auto* rtm : {&full_rtm, &samp_rtm}) {
     rtm->set_rank(margot::Rank::minimize_exec_time(M::kExecTime));
     rtm->add_constraint({M::kPower, margot::ComparisonOp::kLessEqual, 100.0, 0, 0.0});
@@ -266,11 +266,8 @@ TEST_F(DseExplorer, StrategyOptionsDefaultsReproduceThePaper) {
 
 // ---- representative pruning --------------------------------------------------------
 
-ProfiledPoint point(double exec_s, double power_w, std::size_t config_index = 0,
-                    std::size_t threads = 1) {
+ProfiledPoint point(double exec_s, double power_w) {
   ProfiledPoint p;
-  p.config_index = config_index;
-  p.configuration.threads = threads;
   p.exec_time_mean_s = exec_s;
   p.power_mean_w = power_w;
   return p;
@@ -324,25 +321,6 @@ TEST_F(DseExplorer, HypervolumeMatchesTheStaircase) {
   EXPECT_DOUBLE_EQ(pareto_hypervolume(pts, 15.0), 5.0);
   EXPECT_THROW(pareto_hypervolume(pts, 0.0), ContractViolation);
   EXPECT_DOUBLE_EQ(pareto_hypervolume({}, 30.0), 0.0);
-}
-
-TEST_F(DseExplorer, ClonePairsDedupeInVersionIdOrder) {
-  std::vector<ProfiledPoint> pts;
-  pts.push_back(point(1.0, 10.0, 3, 4));
-  pts.back().configuration.binding = platform::BindingPolicy::kSpread;
-  pts.push_back(point(0.9, 12.0, 1, 8));
-  pts.push_back(point(0.8, 14.0, 3, 16));
-  pts.back().configuration.binding = platform::BindingPolicy::kSpread;
-  pts.push_back(point(0.7, 16.0, 1, 2));
-
-  const auto pairs = clone_pairs(pts, {0, 1, 2, 3});
-  ASSERT_EQ(pairs.size(), 2u) << "(cfg 3, spread) and (cfg 1, close) each appear once";
-  EXPECT_EQ(pairs[0].config_index, 1u);
-  EXPECT_EQ(pairs[0].binding, platform::BindingPolicy::kClose);
-  EXPECT_EQ(pairs[1].config_index, 3u);
-  EXPECT_EQ(pairs[1].binding, platform::BindingPolicy::kSpread);
-
-  EXPECT_THROW(clone_pairs(pts, {4}), ContractViolation);
 }
 
 }  // namespace

@@ -20,19 +20,16 @@ const platform::PerformanceModel& model() {
   return kModel;
 }
 
-std::vector<ProfiledPoint> profile(const char* bench, std::size_t reps = 3) {
-  const auto space = DesignSpace::paper_space(model().topology());
-  return FullFactorialExplorer()
-      .explore({model(), kernels::find_benchmark(bench).model, space, reps, 1234})
-      .points;
+const platform::DesignSpace& space() {
+  static const platform::DesignSpace kSpace =
+      platform::DesignSpace::paper_space(model().topology());
+  return kSpace;
 }
 
-TEST(DesignSpace, PaperSpaceShape) {
-  const auto space = DesignSpace::paper_space(model().topology());
-  EXPECT_EQ(space.configs.size(), 8u);
-  EXPECT_EQ(space.thread_counts.size(), 32u);
-  EXPECT_EQ(space.bindings.size(), 2u);
-  EXPECT_EQ(space.size(), 512u);
+std::vector<ProfiledPoint> profile(const char* bench, std::size_t reps = 3) {
+  return FullFactorialExplorer()
+      .explore({model(), kernels::find_benchmark(bench).model, space(), reps, 1234})
+      .points;
 }
 
 TEST(Dse, CoversTheWholeSpaceOnce) {
@@ -41,7 +38,7 @@ TEST(Dse, CoversTheWholeSpaceOnce) {
   std::set<std::tuple<std::size_t, std::size_t, int>> seen;
   for (const auto& p : points) {
     seen.insert({p.config_index, p.configuration.threads,
-                 p.configuration.binding == platform::BindingPolicy::kClose ? 0 : 1});
+                 static_cast<int>(p.configuration.binding)});
     EXPECT_GT(p.exec_time_mean_s, 0.0);
     EXPECT_GT(p.power_mean_w, 0.0);
     EXPECT_GE(p.exec_time_stddev_s, 0.0);
@@ -141,9 +138,8 @@ TEST(Pareto, WideSpreadConfirmsNoOneFitsAll) {
   // show a genuinely wide spread.
   double widest = 0.0;
   for (const auto& b : kernels::all_benchmarks()) {
-    const auto space = DesignSpace::paper_space(model().topology());
     const auto points =
-        FullFactorialExplorer().explore({model(), b.model, space, 2, 7}).points;
+        FullFactorialExplorer().explore({model(), b.model, space(), 2, 7}).points;
     const auto front = pareto_filter(points);
     ASSERT_GT(front.size(), 3u) << b.name;
     double pmin = 1e100, pmax = 0.0;
@@ -236,7 +232,7 @@ TEST(Pareto, MatchesBruteForceOnTieHeavyClouds) {
 
 TEST(KbExport, SchemaAndSize) {
   const auto points = profile("gemver");
-  const auto kb = to_knowledge_base(points);
+  const auto kb = to_knowledge_base(space(), points);
   EXPECT_EQ(kb.size(), points.size());
   EXPECT_EQ(kb.metric_names(),
             (std::vector<std::string>{"exec_time_s", "power_w", "throughput"}));
@@ -245,7 +241,7 @@ TEST(KbExport, SchemaAndSize) {
 
 TEST(KbExport, MetricsMatchProfiledPoints) {
   const auto points = profile("mvt");
-  const auto kb = to_knowledge_base(points);
+  const auto kb = to_knowledge_base(space(), points);
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_DOUBLE_EQ(kb[i].metrics[0].mean, points[i].exec_time_mean_s);
     EXPECT_DOUBLE_EQ(kb[i].metrics[1].mean, points[i].power_mean_w);
@@ -254,11 +250,10 @@ TEST(KbExport, MetricsMatchProfiledPoints) {
 }
 
 TEST(KbExport, DecodeKnobsRoundTrips) {
-  const auto space = DesignSpace::paper_space(model().topology());
   const auto points = profile("2mm");
-  const auto kb = to_knowledge_base(points);
+  const auto kb = to_knowledge_base(space(), points);
   for (std::size_t i = 0; i < kb.size(); i += 37) {
-    const auto config = decode_knobs(space, kb[i].knobs);
+    const auto config = space().configuration(space().decode(kb[i].knobs));
     EXPECT_EQ(config.threads, points[i].configuration.threads);
     EXPECT_EQ(config.binding, points[i].configuration.binding);
     EXPECT_TRUE(config.flags == points[i].configuration.flags);
@@ -266,11 +261,16 @@ TEST(KbExport, DecodeKnobsRoundTrips) {
 }
 
 TEST(KbExport, DecodeRejectsMalformedKnobs) {
-  const auto space = DesignSpace::paper_space(model().topology());
-  EXPECT_THROW(decode_knobs(space, {0, 1}), ContractViolation);
-  EXPECT_THROW(decode_knobs(space, {99, 1, 0}), ContractViolation);
-  EXPECT_THROW(decode_knobs(space, {0, 0, 0}), ContractViolation);
-  EXPECT_THROW(decode_knobs(space, {0, 1, 5}), ContractViolation);
+  EXPECT_THROW(space().decode({0, 1}), ContractViolation);
+  EXPECT_THROW(space().decode({99, 1, 0}), ContractViolation);
+  EXPECT_THROW(space().decode({0, 0, 0}), ContractViolation);
+  EXPECT_THROW(space().decode({0, 1, 5}), ContractViolation);
+}
+
+TEST(KbExport, RejectsAPointOutsideTheSpace) {
+  auto points = profile("atax", 1);
+  points[3].configuration.threads = 64;
+  EXPECT_THROW(to_knowledge_base(space(), points), ContractViolation);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "margot/context.hpp"
 #include "margot/monitor.hpp"
+#include "platform/design_space.hpp"
 #include "platform/fault_injection.hpp"
 #include "socrates/adaptive_app.hpp"
 #include "socrates/pipeline.hpp"
@@ -351,7 +352,8 @@ TEST(Watchdog, ResetClearsHistory) {
 // ---- Context-level runaway detection ---------------------------------------
 
 KnowledgeBase ctx_kb() {
-  KnowledgeBase kb({"config", "threads", "binding"}, ContextMetrics::names());
+  KnowledgeBase kb(platform::DesignSpace::knob_names(),
+                   platform::DesignSpace::metric_names());
   kb.add(OperatingPoint{{0, 1, 0}, {{2.0, 0.1}, {55.0, 1.0}, {0.5, 0.02}}});
   kb.add(OperatingPoint{{1, 16, 0}, {{0.5, 0.02}, {120.0, 2.0}, {2.0, 0.1}}});
   return kb;

@@ -3,6 +3,10 @@
 // application runtime (the Figure 4 / Figure 5 behaviours).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "margot/kb_io.hpp"
 #include "socrates/adaptive_app.hpp"
 #include "socrates/pipeline.hpp"
 #include "support/error.hpp"
@@ -188,6 +192,32 @@ TEST(RuntimeTrace, FeedbackKeepsSelectionStableUnderNoise) {
   for (std::size_t i = 1; i < trace.size(); ++i)
     if (trace[i].configuration_changed) ++switches;
   EXPECT_LE(switches, trace.size() / 10);
+}
+
+TEST(RuntimeTrace, KnowledgeFromALargerMachineNamesTheKnobItCannotRun) {
+  // A knowledge file profiled on a 64-thread machine loads fine, but
+  // its row is no point of the paper platform's 32-thread space: the
+  // decision must be refused naming the knob and value, before the
+  // platform model is asked to place 64 threads.
+  ToolchainOptions opts;
+  opts.use_paper_cfs = true;
+  opts.dse_repetitions = 1;
+  Pipeline tc(model(), opts);
+  AdaptiveBinary binary = tc.build("2mm");
+  margot::KnowledgeBase wide(binary.knowledge.knob_names(),
+                             binary.knowledge.metric_names());
+  wide.add({{0, 64, 0}, {{0.5, 0.0}, {150.0, 0.0}, {2.0, 0.0}}});
+  std::istringstream file(margot::knowledge_to_string(wide));
+  binary.knowledge = margot::load_knowledge(file);
+
+  AdaptiveApplication app(std::move(binary), model());
+  try {
+    app.run_iteration();
+    ADD_FAILURE() << "a 64-thread knob row must be refused";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("knob 'threads' = 64"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

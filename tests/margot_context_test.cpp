@@ -4,6 +4,7 @@
 
 #include "margot/context.hpp"
 #include "platform/clock.hpp"
+#include "platform/design_space.hpp"
 #include "platform/rapl.hpp"
 #include "support/error.hpp"
 
@@ -11,7 +12,8 @@ namespace socrates::margot {
 namespace {
 
 KnowledgeBase ctx_kb() {
-  KnowledgeBase kb({"config", "threads", "binding"}, ContextMetrics::names());
+  KnowledgeBase kb(platform::DesignSpace::knob_names(),
+                   platform::DesignSpace::metric_names());
   kb.add(OperatingPoint{{0, 1, 0}, {{2.0, 0.1}, {55.0, 1.0}, {0.5, 0.02}}});
   kb.add(OperatingPoint{{1, 16, 0}, {{0.5, 0.02}, {120.0, 2.0}, {2.0, 0.1}}});
   return kb;

@@ -34,7 +34,7 @@ const platform::PerformanceModel& model() {
 
 /// The paper's full sweep of `space` on `pool`.
 std::vector<dse::ProfiledPoint> full_sweep(const platform::KernelModelParams& kernel,
-                                           const dse::DesignSpace& space,
+                                           const platform::DesignSpace& space,
                                            std::size_t repetitions, std::uint64_t seed,
                                            double work_scale, TaskPool& pool) {
   return dse::FullFactorialExplorer()
@@ -51,7 +51,7 @@ std::string profile_bytes(const std::vector<dse::ProfiledPoint>& points) {
 }
 
 TEST(ParallelDeterminism, DseProfileIsByteIdenticalAtAnyJobCount) {
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("2mm").model;
 
   TaskPool serial(1);
@@ -70,7 +70,7 @@ TEST(ParallelDeterminism, TracingDoesNotPerturbResultsAndSpanCountsMatch) {
   // the global tracer enabled (DSE spans go there), the profile stays
   // byte-identical at any job count, and the *number* of spans per
   // category is identical too — only timings and lanes may differ.
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("mvt").model;
   Tracer& tracer = Tracer::global();
   const bool was_enabled = tracer.enabled();
@@ -108,7 +108,7 @@ TEST(ParallelDeterminism, TwoStageExplorerIsByteIdenticalAtAnyJobCount) {
   // profiled point derives its noise from (seed, flat index), so the
   // whole search — candidate selection included — is reproducible at
   // any job count.
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("2mm").model;
   dse::TwoStageExplorer::Params params;
   params.seed_configs = {4, 5, 6, 7};
@@ -135,7 +135,7 @@ TEST(ParallelDeterminism, WarmSeededTwoStageIsByteIdenticalAtAnyJobCount) {
   // must preserve the determinism contract: same seeds + same arrival
   // order give the same profiled set at any job count, and the seeded
   // points are profiled first.
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("2mm").model;
   dse::TwoStageExplorer::Params params;
   params.seed_configs = {4, 5};
@@ -191,7 +191,7 @@ TEST(ParallelDeterminism, TwoStagePointsMatchTheFullSweepBitForBit) {
   // Any point the strategy profiles is the same point the full sweep
   // would have measured: noise comes from (seed, flat), not from the
   // exploration order.
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("atax").model;
   TaskPool pool(4);
   const auto full = full_sweep(kernel, space, 2, 99, 1.0, pool);
@@ -215,7 +215,7 @@ TEST(ParallelDeterminism, TwoStagePointsMatchTheFullSweepBitForBit) {
 TEST(ParallelDeterminism, DseWorkScaleAndSeedStillMatter) {
   // Determinism must not come from ignoring the inputs: different seed
   // or scale still changes the profile.
-  const auto space = dse::DesignSpace::paper_space(model().topology());
+  const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& kernel = kernels::find_benchmark("atax").model;
   TaskPool pool(4);
   const auto a = full_sweep(kernel, space, 2, 1, 1.0, pool);

@@ -4,6 +4,7 @@
 
 #include "kernels/registry.hpp"
 #include "platform/compiler_model.hpp"
+#include "platform/design_space.hpp"
 #include "platform/perf_model.hpp"
 #include "support/error.hpp"
 
@@ -61,7 +62,8 @@ TEST(CompilerModel, DifferentKernelsPreferDifferentConfigs) {
   for (const auto& b : kernels::all_benchmarks()) {
     double best_speedup = 0.0;
     std::string best_name;
-    for (const auto& named : reduced_design_space()) {
+    for (const auto& named :
+         DesignSpace::paper_space(MachineTopology::xeon_e5_2630_v3()).configs) {
       const double s = compute_speedup(b.model, named.config);
       if (s > best_speedup) {
         best_speedup = s;

@@ -1,6 +1,7 @@
 // Tests for machine topology, thread placement and the flag space.
 #include <gtest/gtest.h>
 
+#include "platform/design_space.hpp"
 #include "platform/flags.hpp"
 #include "platform/topology.hpp"
 #include "support/error.hpp"
@@ -9,6 +10,11 @@ namespace socrates::platform {
 namespace {
 
 const MachineTopology kXeon = MachineTopology::xeon_e5_2630_v3();
+
+/// The paper's reduced compiler space: the standard levels then CF1-CF4.
+std::vector<NamedConfig> paper_configs() {
+  return DesignSpace::paper_space(kXeon).configs;
+}
 
 TEST(Topology, PaperPlatformShape) {
   EXPECT_EQ(kXeon.sockets, 2u);
@@ -90,7 +96,7 @@ TEST(Flags, PragmaOptionsFormat) {
 }
 
 TEST(Flags, ParseRoundTrip) {
-  for (const auto& named : reduced_design_space()) {
+  for (const auto& named : paper_configs()) {
     const FlagConfig parsed = FlagConfig::parse(named.config.pragma_options());
     EXPECT_EQ(parsed, named.config) << named.name;
   }
@@ -131,7 +137,7 @@ TEST(Flags, CobaynSpaceHas128DistinctPoints) {
 }
 
 TEST(Flags, ReducedSpaceIsEightNamedConfigs) {
-  const auto space = reduced_design_space();
+  const auto space = paper_configs();
   ASSERT_EQ(space.size(), 8u);
   EXPECT_EQ(space[0].name, "Os");
   EXPECT_EQ(space[3].name, "O3");

@@ -27,6 +27,11 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
+std::vector<platform::CloneSpec> paper_clones() {
+  return platform::DesignSpace::paper_space(platform::MachineTopology::xeon_e5_2630_v3())
+      .clones();
+}
+
 std::string workdir() {
   const std::string dir = testing::TempDir() + "/socrates_weave_cc";
   std::system(("mkdir -p " + dir).c_str());
@@ -39,7 +44,7 @@ TEST_P(CompileWoven, WovenSourceCompilesWithRealCc) {
   if (!have_cc()) GTEST_SKIP() << "no system C compiler";
   const std::string dir = workdir();
   const auto woven =
-      weave_benchmark_paper_space(GetParam(), kernels::benchmark_source(GetParam()));
+      weave_benchmark(GetParam(), kernels::benchmark_source(GetParam()), paper_clones());
 
   const std::string base = dir + "/" + GetParam();
   write_file(dir + "/margot.h", margot_header_source());
@@ -79,7 +84,7 @@ TEST(CompileWoven, WovenBinaryLinksAndRunsWithTheStub) {
   const std::string dir = workdir();
   // mvt is the smallest footprint (two N x N doubles fit comfortably).
   const auto woven =
-      weave_benchmark_paper_space("mvt", kernels::benchmark_source("mvt"));
+      weave_benchmark("mvt", kernels::benchmark_source("mvt"), paper_clones());
 
   write_file(dir + "/margot.h", margot_header_source());
   write_file(dir + "/margot_stub.c", margot_stub_source());

@@ -8,18 +8,27 @@
 #include "ir/printer.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/sources.hpp"
-#include "platform/flags.hpp"
+#include "platform/design_space.hpp"
 #include "support/error.hpp"
 #include "weaver/report.hpp"
 
 namespace socrates::weaver {
 namespace {
 
+/// Clones of configs x bindings, built by the knob schema.
+std::vector<platform::CloneSpec> clones_of(
+    std::vector<platform::NamedConfig> configs,
+    std::vector<platform::BindingPolicy> bindings) {
+  return platform::DesignSpace{std::move(configs), {1}, std::move(bindings)}.clones();
+}
+
 class Strategies : public ::testing::TestWithParam<std::string> {
  protected:
   WovenBenchmark weave() {
-    return weave_benchmark_paper_space(GetParam(),
-                                       kernels::benchmark_source(GetParam()));
+    const auto space =
+        platform::DesignSpace::paper_space(platform::MachineTopology::xeon_e5_2630_v3());
+    return weave_benchmark(GetParam(), kernels::benchmark_source(GetParam()),
+                           space.clones());
   }
 };
 
@@ -178,8 +187,9 @@ TEST(StrategiesEdge, RequiresAKernelFunction) {
   auto tu = ir::parse("int main(void) { return 0; }");
   WeavingMetrics metrics;
   Weaver weaver(tu, metrics);
-  EXPECT_THROW(apply_multiversioning(weaver, platform::standard_levels(),
-                                     {platform::BindingPolicy::kClose}),
+  EXPECT_THROW(apply_multiversioning(
+                   weaver, clones_of(platform::standard_levels(),
+                                     {platform::BindingPolicy::kClose})),
                ContractViolation);
 }
 
@@ -187,8 +197,8 @@ TEST(StrategiesEdge, AutotunerRequiresMain) {
   auto tu = ir::parse("void kernel_x(int n) { }\nvoid caller(void) { kernel_x(1); }");
   WeavingMetrics metrics;
   Weaver weaver(tu, metrics);
-  const auto kernels = apply_multiversioning(weaver, platform::standard_levels(),
-                                             {platform::BindingPolicy::kClose});
+  const auto kernels = apply_multiversioning(
+      weaver, clones_of(platform::standard_levels(), {platform::BindingPolicy::kClose}));
   EXPECT_THROW(apply_autotuner(weaver, kernels), ContractViolation);
 }
 
@@ -221,10 +231,10 @@ int main(int argc, char **argv)
   return 0;
 }
 )";
-  const auto woven = weave_benchmark("two-kernels", kTwoKernels,
-                                     platform::standard_levels(),
-                                     {platform::BindingPolicy::kClose,
-                                      platform::BindingPolicy::kSpread});
+  const auto woven = weave_benchmark(
+      "two-kernels", kTwoKernels,
+      clones_of(platform::standard_levels(),
+                {platform::BindingPolicy::kClose, platform::BindingPolicy::kSpread}));
   ASSERT_EQ(woven.kernels.size(), 2u);
   EXPECT_EQ(woven.kernels[0].versions.size(), 8u);
   EXPECT_EQ(woven.kernels[1].versions.size(), 8u);
@@ -277,8 +287,9 @@ int main(int argc, char **argv)
 }
 )";
   const auto woven =
-      weave_benchmark("helper-call", kSource, {platform::NamedConfig{"O2", {}}},
-                      {platform::BindingPolicy::kClose});
+      weave_benchmark("helper-call", kSource,
+                      clones_of({platform::NamedConfig{"O2", {}}},
+                                {platform::BindingPolicy::kClose}));
   const auto* driver = woven.unit.find_function("driver");
   const std::string body = ir::print_stmt(*driver->body);
   EXPECT_NE(body.find("kernel_x_wrapper(n);"), std::string::npos);
@@ -290,9 +301,9 @@ TEST(StrategiesEdge, SingleConfigSingleBinding) {
       "void kernel_x(int n) { }\nint main(void) { kernel_x(1); return 0; }");
   WeavingMetrics metrics;
   Weaver weaver(tu, metrics);
-  const auto kernels =
-      apply_multiversioning(weaver, {platform::NamedConfig{"O2", {}}},
-                            {platform::BindingPolicy::kClose});
+  const auto kernels = apply_multiversioning(
+      weaver,
+      clones_of({platform::NamedConfig{"O2", {}}}, {platform::BindingPolicy::kClose}));
   ASSERT_EQ(kernels.size(), 1u);
   EXPECT_EQ(kernels[0].versions.size(), 1u);
 }
