@@ -25,8 +25,11 @@
 // baseline (bench/baselines/dse.json) gates the two-stage explorer:
 // >= 10x fewer evaluations than full factorial, pruned hypervolume
 // ratio >= 1.0, and a pruned clone set strictly below the 16-clone
-// cross product.  `--quick` runs a two-kernel subset (the dse-bench-smoke
-// CTest entry).
+// cross product.  It also records what one profiled point costs in the
+// artifact cache (`profile_bytes_per_point`: the growth of
+// dse::save_profile per point), which the baseline caps at the 36-byte
+// binary record.  `--quick` runs a two-kernel subset (the
+// dse-bench-smoke CTest entry).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -103,9 +106,10 @@ std::vector<dse::ProfiledPoint> subset_of(const std::vector<dse::ProfiledPoint>&
 /// free of the measurement noise it was selected under.
 std::vector<dse::ProfiledPoint> true_values(const platform::PerformanceModel& model,
                                             const platform::KernelModelParams& kernel,
+                                            const platform::DesignSpace& space,
                                             std::vector<dse::ProfiledPoint> points) {
   for (auto& p : points) {
-    const auto m = model.evaluate(kernel, p.configuration);
+    const auto m = model.evaluate(kernel, space.configuration(space.point(p.flat)));
     p.exec_time_mean_s = m.exec_time_s;
     p.power_mean_w = m.avg_power_w;
     p.exec_time_stddev_s = p.power_stddev_w = 0.0;
@@ -149,7 +153,7 @@ int main(int argc, char** argv) {
   TextTable table({"Benchmark", "pts full/2stage", "hv 2stage", "hv pruned",
                    "hv true", "regret 2stage", "clones"});
   StrategyStats two_stats;
-  double pruned_ratio_min = 2.0, true_ratio_min = 2.0;
+  double pruned_ratio_min = 2.0, true_ratio_min = 2.0, profile_bytes_per_point = 0.0;
   std::size_t clone_set_max = 0, representatives_max = 0;
   std::vector<double> two_regrets;
 
@@ -168,6 +172,10 @@ int main(int argc, char** argv) {
     // Full factorial through the pipeline (cached artifact); the
     // explorers share its task pool and per-point noise streams.
     const auto full = pipeline.profile_space(name, space, kRepetitions, kSeed);
+    profile_bytes_per_point = std::max(
+        profile_bytes_per_point,
+        static_cast<double>(dse::save_profile(full).size() - dse::save_profile({}).size()) /
+            static_cast<double>(full.size()));
     dse::ExploreContext ctx{model, kernel, space, kRepetitions, kSeed, 1.0, &pool, 1};
     const auto two = two_stage.explore(ctx);
 
@@ -189,18 +197,16 @@ int main(int argc, char** argv) {
         dse::pareto_hypervolume(subset_of(full, full_reps.representatives), ref_power);
     const double true_ratio =
         dse::pareto_hypervolume(
-            true_values(model, kernel, subset_of(two.points, reps.representatives)),
+            true_values(model, kernel, space, subset_of(two.points, reps.representatives)),
             ref_power) /
         dse::pareto_hypervolume(
-            true_values(model, kernel, subset_of(full, full_reps.representatives)),
+            true_values(model, kernel, space, subset_of(full, full_reps.representatives)),
             ref_power);
 
     // Decision regret of the (pruned) two-stage knowledge base.
     std::vector<platform::DesignSpace::Point> kept;
-    for (const std::size_t i : reps.representatives) {
-      const auto& p = two.points[i];
-      kept.push_back(space.point(p.config_index, p.configuration));
-    }
+    for (const std::size_t i : reps.representatives)
+      kept.push_back(space.point(two.points[i].flat));
     const auto clones = space.clones(kept);
     const auto t_full =
         sweep_choices(model, kernel, space, dse::to_knowledge_base(space, full));
@@ -234,6 +240,7 @@ int main(int argc, char** argv) {
                    std::to_string(clones.size()) + "/16"});
   }
   json.end_array();
+  json.kv("profile_bytes_per_point", profile_bytes_per_point);
 
   const double reduction_min = static_cast<double>(space.size()) /
                                static_cast<double>(two_stats.evaluated_max);

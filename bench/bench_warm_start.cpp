@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
   });
   std::vector<std::size_t> warm_seeds;
   for (std::size_t i = 0; i < ranked.size() && warm_seeds.size() < 4; ++i)
-    warm_seeds.push_back(donor_result.flat[ranked[i]]);
+    warm_seeds.push_back(donor_result.points[ranked[i]].flat);
 
   dse::ExploreContext ctx{platform_model, recipient_kernel, space, 3, 2018, 1.0,
                           &pool, 1};

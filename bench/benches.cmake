@@ -82,9 +82,11 @@ endforeach()
 # the bench's built-in assertions — >= 10x fewer evaluations than the
 # full factorial at an undiminished Pareto hypervolume, pruned clone set
 # below the 16-clone cross product — and the BENCH_dse.json artifact
-# gated by the committed bounds.  The third test feeds the checker a
-# doctored artifact whose pruned true-metric hypervolume falls below the
-# full factorial's; it must fail, which shows that the gate can fail.
+# gated by the committed bounds.  The doctored tests feed the checker
+# artifacts that each break one bound — a pruned true-metric
+# hypervolume below the full factorial's, and a profile that costs 98
+# bytes a point in the artifact cache (the text format) — and must
+# fail, which shows that each gate can fail.
 add_test(NAME dse_bench_smoke
   COMMAND ablation_dse_strategies --quick)
 set_tests_properties(dse_bench_smoke PROPERTIES
@@ -106,6 +108,13 @@ add_test(NAME dse_bench_baseline_rejects_doctored
           ${CMAKE_SOURCE_DIR}/bench/baselines/dse.json
           ${CMAKE_SOURCE_DIR}/bench/baselines/dse_doctored.json)
 set_tests_properties(dse_bench_baseline_rejects_doctored PROPERTIES
+  LABELS "bench;smoke"
+  WILL_FAIL TRUE)
+add_test(NAME dse_bench_baseline_rejects_doctored_profile_bytes
+  COMMAND bench_baseline_check
+          ${CMAKE_SOURCE_DIR}/bench/baselines/dse.json
+          ${CMAKE_SOURCE_DIR}/bench/baselines/dse_doctored_profile_bytes.json)
+set_tests_properties(dse_bench_baseline_rejects_doctored_profile_bytes PROPERTIES
   LABELS "bench;smoke"
   WILL_FAIL TRUE)
 

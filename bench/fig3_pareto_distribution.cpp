@@ -99,8 +99,9 @@ int main() {
     std::vector<std::size_t> per_config(space.configs.size(), 0);
     std::size_t close = 0;
     for (const std::size_t i : front) {
-      ++per_config[points[i].config_index];
-      if (points[i].configuration.binding == platform::BindingPolicy::kClose) ++close;
+      const auto point = space.point(points[i].flat);
+      ++per_config[point.config];
+      if (space.bindings[point.binding] == platform::BindingPolicy::kClose) ++close;
     }
     std::printf("%-12s", bench.name.c_str());
     for (const std::size_t n : per_config) std::printf(" %5zu", n);

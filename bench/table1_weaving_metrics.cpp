@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/parser.hpp"
 #include "kernels/sources.hpp"
 #include "socrates/pipeline.hpp"
 #include "support/strings.hpp"
@@ -43,8 +44,8 @@ int main() {
   const auto clones = platform::DesignSpace::paper_space(model.topology()).clones();
   std::vector<weaver::WovenBenchmark> woven(names.size());
   pipeline.pool().parallel_for(names.size(), [&](std::size_t i) {
-    woven[i] =
-        weaver::weave_benchmark(names[i], kernels::benchmark_source(names[i]), clones);
+    woven[i] = weaver::weave_benchmark(
+        names[i], ir::parse(kernels::benchmark_source(names[i])), clones);
   });
 
   for (std::size_t i = 0; i < names.size(); ++i) {

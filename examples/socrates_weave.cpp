@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 
+#include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "kernels/sources.hpp"
 #include "margot/context.hpp"
@@ -70,8 +71,9 @@ int main(int argc, char** argv) {
 
   try {
     const auto model = platform::PerformanceModel::paper_platform();
-    const auto woven = weaver::weave_benchmark(
-        target, source, platform::DesignSpace::paper_space(model.topology()).clones());
+    const auto woven =
+        weaver::weave_benchmark(target, ir::parse(source),
+                                platform::DesignSpace::paper_space(model.topology()).clones());
     if (!metrics_only && !autotune) std::fputs(ir::print(woven.unit).c_str(), stdout);
     const auto& r = woven.report;
     std::fprintf(stderr,

@@ -56,9 +56,6 @@ class BayesNet {
   /// Estimates every CPT from `data` with Laplace smoothing `alpha`.
   void fit(const Dataset& data, double alpha = 1.0);
 
-  /// True once fit() has run.
-  bool is_fitted() const { return fitted_; }
-
   /// log P(assignment) under the fitted model.
   double log_joint(const FullAssignment& assignment) const;
 

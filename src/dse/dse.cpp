@@ -1,53 +1,81 @@
 #include "dse/dse.hpp"
 
 #include <algorithm>
-#include <istream>
+#include <bit>
 #include <limits>
-#include <ostream>
 
 #include "support/error.hpp"
-#include "support/serialize.hpp"
 
 namespace socrates::dse {
 
-void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points) {
-  out << "profile v1 " << points.size() << '\n';
-  for (const auto& p : points) {
-    // Config names ("O3", "CF1", ...) never contain whitespace.
-    out << p.config_index << ' ' << p.config_name << ' '
-        << static_cast<int>(p.configuration.flags.level()) << ' '
-        << p.configuration.flags.flag_bits() << ' ' << p.configuration.threads << ' '
-        << platform::DesignSpace::binding_code(p.configuration.binding) << ' '
-        << format_exact(p.exec_time_mean_s) << ' ' << format_exact(p.exec_time_stddev_s)
-        << ' ' << format_exact(p.power_mean_w) << ' ' << format_exact(p.power_stddev_w)
-        << '\n';
-  }
+namespace {
+
+// Little-endian fields, written and read a byte at a time so the
+// format does not depend on the host's byte order or struct layout.
+void put_u32(std::string& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-std::vector<ProfiledPoint> load_profile(std::istream& in) {
-  std::string magic, version;
-  std::size_t count = 0;
-  in >> magic >> version >> count;
-  SOCRATES_REQUIRE_MSG(in && magic == "profile" && version == "v1",
-                       "not a profile artifact");
-  // Grown as points are read, never sized from the header: a count the
-  // stream cannot back ends in a named violation, not a huge allocation.
-  std::vector<ProfiledPoint> points;
-  for (std::size_t i = 0; i < count; ++i) {
-    ProfiledPoint& p = points.emplace_back();
-    int level = 0, binding = 0;
-    unsigned bits = 0;
-    in >> p.config_index >> p.config_name >> level >> bits >> p.configuration.threads >>
-        binding;
-    SOCRATES_REQUIRE_MSG(in && level >= 0 && level <= 3 && bits < 64,
-                         "malformed profile point");
-    p.configuration.flags =
-        platform::FlagConfig(static_cast<platform::OptLevel>(level), bits);
-    p.configuration.binding = platform::DesignSpace::binding_of_code(binding);
-    p.exec_time_mean_s = parse_exact(in);
-    p.exec_time_stddev_s = parse_exact(in);
-    p.power_mean_w = parse_exact(in);
-    p.power_stddev_w = parse_exact(in);
+void put_f64(std::string& out, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(bits >> (8 * i)));
+}
+
+std::uint32_t get_u32(const unsigned char* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
+double get_f64(const unsigned char* p) {
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return std::bit_cast<double>(bits);
+}
+
+}  // namespace
+
+std::string save_profile(const std::vector<ProfiledPoint>& points) {
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  SOCRATES_REQUIRE(points.size() <= kMax);
+  std::string out;
+  out.reserve(4 + points.size() * kProfileRecordBytes);
+  put_u32(out, static_cast<std::uint32_t>(points.size()));
+  for (const auto& p : points) {
+    SOCRATES_REQUIRE_MSG(p.flat <= kMax, "flat index " << p.flat << " exceeds a u32");
+    put_u32(out, static_cast<std::uint32_t>(p.flat));
+    put_f64(out, p.exec_time_mean_s);
+    put_f64(out, p.exec_time_stddev_s);
+    put_f64(out, p.power_mean_w);
+    put_f64(out, p.power_stddev_w);
+  }
+  return out;
+}
+
+std::vector<ProfiledPoint> load_profile(const platform::DesignSpace& space,
+                                        std::string_view bytes) {
+  SOCRATES_REQUIRE_MSG(bytes.size() >= 4, "profile of " << bytes.size()
+                                                        << " bytes has no record count");
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  // The count makes a cut at a record boundary a size mismatch; it is
+  // checked against the bytes before anything is allocated for it.
+  const std::size_t count = get_u32(data);
+  SOCRATES_REQUIRE_MSG((bytes.size() - 4) % kProfileRecordBytes == 0 &&
+                           (bytes.size() - 4) / kProfileRecordBytes == count,
+                       "profile of " << bytes.size() << " bytes does not hold its "
+                                     << count << " records");
+  std::vector<ProfiledPoint> points(count);
+  const unsigned char* record = data + 4;
+  for (ProfiledPoint& p : points) {
+    p.flat = get_u32(record);
+    SOCRATES_REQUIRE_MSG(p.flat < space.size(), "profile point at flat index "
+                                                    << p.flat << " outside a space of "
+                                                    << space.size() << " points");
+    p.exec_time_mean_s = get_f64(record + 4);
+    p.exec_time_stddev_s = get_f64(record + 12);
+    p.power_mean_w = get_f64(record + 20);
+    p.power_stddev_w = get_f64(record + 28);
+    record += kProfileRecordBytes;
   }
   return points;
 }
@@ -95,7 +123,7 @@ margot::KnowledgeBase to_knowledge_base(const platform::DesignSpace& space,
                            platform::DesignSpace::metric_names());
   for (const auto& p : points) {
     margot::OperatingPoint op;
-    op.knobs = space.knob_row(space.point(p.config_index, p.configuration));
+    op.knobs = space.knob_row(space.point(p.flat));
     // Throughput stddev via first-order error propagation: d(1/t) = dt/t^2.
     const double thr_stddev =
         p.exec_time_stddev_s / (p.exec_time_mean_s * p.exec_time_mean_s);

@@ -11,15 +11,15 @@
 //
 // The space and every encoding of a design point live in
 // platform::DesignSpace.  This header holds one point's measurement and
-// the profile formats; which points get profiled is an Explorer's
+// the profile codec; which points get profiled is an Explorer's
 // choice, and every strategy profiles through the one loop
 // dse::profile_points (explorer.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "margot/operating_point.hpp"
@@ -29,11 +29,11 @@
 
 namespace socrates::dse {
 
-/// One profiled configuration.
+/// One profiled design point: its flat index in the DesignSpace it was
+/// profiled in (the space turns it into a configuration, a knob row or
+/// a clone) and the measured means and deviations.
 struct ProfiledPoint {
-  std::size_t config_index = 0;  ///< into platform::DesignSpace::configs
-  std::string config_name;
-  platform::Configuration configuration;
+  std::size_t flat = 0;
   double exec_time_mean_s = 0.0;
   double exec_time_stddev_s = 0.0;
   double power_mean_w = 0.0;
@@ -42,13 +42,21 @@ struct ProfiledPoint {
   double throughput() const { return 1.0 / exec_time_mean_s; }
 };
 
-/// Writes a profile in the artifact-cache text format (hexfloat
-/// doubles, exact round trip).
-void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points);
+/// Bytes of one profile record: the flat index as a u32, then the four
+/// measurements as IEEE-754 doubles, all little-endian.
+inline constexpr std::size_t kProfileRecordBytes = 4 + 4 * 8;
 
-/// Parses a profile written by save_profile().  Throws
-/// ContractViolation on malformed input.
-std::vector<ProfiledPoint> load_profile(std::istream& in);
+/// Encodes a profile for the artifact cache: a u32 record count, then
+/// one kProfileRecordBytes record per point in order.  Doubles keep
+/// their bits, so a reload is exact.  Throws ContractViolation for a
+/// flat index that does not fit a u32.
+std::string save_profile(const std::vector<ProfiledPoint>& points);
+
+/// Decodes save_profile() output of a profile of `space`.  Throws
+/// ContractViolation unless `bytes` is exactly the count and its
+/// records, and every flat index lies in the space.
+std::vector<ProfiledPoint> load_profile(const platform::DesignSpace& space,
+                                        std::string_view bytes);
 
 /// Indices of the Pareto-optimal points (ascending): maximize
 /// throughput, minimize power.  A point is dominated when another point

@@ -15,18 +15,17 @@ namespace socrates::dse {
 
 namespace {
 
-/// Measures one design point: ctx.repetitions runs drawing from `noise`.
+/// Measures the design point at `flat`: ctx.repetitions runs drawing
+/// from `noise`.
 ProfiledPoint profile_point(const ExploreContext& ctx,
-                            const platform::DesignSpace::Point& point, Rng& noise) {
+                            const platform::Configuration& config, std::size_t flat,
+                            Rng& noise) {
   ProfiledPoint p;
-  p.configuration = ctx.space.configuration(point);
-  p.config_index = point.config;
-  p.config_name = ctx.space.configs[point.config].name;
+  p.flat = flat;
   RunningStats time_stats;
   RunningStats power_stats;
   for (std::size_t r = 0; r < ctx.repetitions; ++r) {
-    const auto m =
-        ctx.model.evaluate(ctx.kernel, p.configuration, &noise, ctx.work_scale);
+    const auto m = ctx.model.evaluate(ctx.kernel, config, &noise, ctx.work_scale);
     time_stats.add(m.exec_time_s);
     power_stats.add(m.avg_power_w);
   }
@@ -63,7 +62,7 @@ ExploreResult profile_points(const ExploreContext& ctx,
     TraceSpan span("dse-point", "dse");
     const std::size_t flat = flat_indices[k];
     span.set_arg("point", static_cast<std::int64_t>(flat));
-    const platform::DesignSpace::Point point = ctx.space.point(flat);
+    const platform::Configuration config = ctx.space.configuration(ctx.space.point(flat));
     for (std::size_t attempt = 0; attempt < ctx.point_attempts; ++attempt) {
       try {
         // Indexed (not counter-based) chaos draw: the decision for
@@ -76,7 +75,7 @@ ExploreResult profile_points(const ExploreContext& ctx,
         // surviving measurement is bit-identical to a chaos-free run
         // of any strategy.
         Rng noise(derive_stream(ctx.seed, flat));
-        slots[k] = profile_point(ctx, point, noise);
+        slots[k] = profile_point(ctx, config, flat, noise);
         points_profiled.add(1);
         return;
       } catch (const std::logic_error&) {
@@ -93,14 +92,11 @@ ExploreResult profile_points(const ExploreContext& ctx,
   out.evaluated = flat_indices.size();
   out.retries = retries.load();
   out.points.reserve(flat_indices.size());
-  out.flat.reserve(flat_indices.size());
   for (std::size_t k = 0; k < flat_indices.size(); ++k) {
-    if (dropped[k] != 0) {
+    if (dropped[k] != 0)
       ++out.dropped;
-      continue;
-    }
-    out.points.push_back(std::move(slots[k]));
-    out.flat.push_back(flat_indices[k]);
+    else
+      out.points.push_back(slots[k]);
   }
   if (out.dropped > 0)
     MetricsRegistry::global().counter("dse.points_dropped").add(out.dropped);

@@ -49,7 +49,6 @@ struct ExploreContext {
 /// order unless the strategy documents another deterministic order.
 struct ExploreResult {
   std::vector<ProfiledPoint> points;
-  std::vector<std::size_t> flat;  ///< flat index of each of `points`
   std::size_t evaluated = 0;    ///< unique design points profiled (incl. dropped)
   std::size_t dropped = 0;      ///< points lost after all attempts (chaos/faults)
   std::size_t retries = 0;      ///< extra per-point attempts that were needed
@@ -113,8 +112,8 @@ std::unique_ptr<Explorer> make_explorer(const DseStrategyOptions& options,
 /// ctx.pool: each point draws noise from the stream (seed, flat index)
 /// and gets ctx.point_attempts tries (chaos site "dse.point", indexed
 /// by (flat index, attempt)); a point that exhausts them is dropped.
-/// Logic errors propagate.  Survivors keep the order of `flat_indices`
-/// and `flat` names them; `evaluated` is flat_indices.size().
+/// Logic errors propagate.  Survivors keep the order of `flat_indices`;
+/// `evaluated` is flat_indices.size().
 ExploreResult profile_points(const ExploreContext& ctx,
                              const std::vector<std::size_t>& flat_indices);
 

@@ -80,9 +80,8 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
         fresh.push_back(flat);
     }
     if (fresh.empty()) return 0;
-    auto profile = profile_points(ctx, fresh);
-    for (std::size_t k = 0; k < profile.flat.size(); ++k)
-      archive.emplace(profile.flat[k], std::move(profile.points[k]));
+    const auto profile = profile_points(ctx, fresh);
+    for (const ProfiledPoint& p : profile.points) archive.emplace(p.flat, p);
     attempted.insert(fresh.begin(), fresh.end());
     result.dropped += profile.dropped;
     result.retries += profile.retries;
@@ -96,21 +95,16 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   // deployment would actually keep.
   constexpr std::size_t kPolishFrontCap = 12;
   const auto archive_front = [&] {
-    std::vector<std::size_t> flats;
     std::vector<ProfiledPoint> pts;
-    flats.reserve(archive.size());
     pts.reserve(archive.size());
-    for (const auto& [flat, point] : archive) {
-      flats.push_back(flat);
-      pts.push_back(point);
-    }
+    for (const auto& entry : archive) pts.push_back(entry.second);
     const auto rs = select_representatives(pts, kPolishFrontCap);
     std::vector<std::size_t> front;
     std::set<std::size_t> seen;
     for (const std::size_t i : rs.representatives)
-      if (seen.insert(i).second) front.push_back(flats[i]);
+      if (seen.insert(i).second) front.push_back(pts[i].flat);
     for (const std::size_t i : rs.front)
-      if (seen.insert(i).second) front.push_back(flats[i]);
+      if (seen.insert(i).second) front.push_back(pts[i].flat);
     return front;
   };
 
@@ -126,11 +120,9 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   // Prune stage uses), and the per-seed-config champions.
   std::vector<ProfiledPoint> surrogate(total);
   for (std::size_t flat = 0; flat < total; ++flat) {
-    const auto point = space.point(flat);
-    const platform::Configuration config = space.configuration(point);
-    const auto m = ctx.model.evaluate(ctx.kernel, config, nullptr, ctx.work_scale);
-    surrogate[flat].config_index = point.config;
-    surrogate[flat].configuration = config;
+    const auto m = ctx.model.evaluate(ctx.kernel, space.configuration(space.point(flat)),
+                                      nullptr, ctx.work_scale);
+    surrogate[flat].flat = flat;
     surrogate[flat].exec_time_mean_s = m.exec_time_s;
     surrogate[flat].power_mean_w = m.avg_power_w;
   }
@@ -219,11 +211,7 @@ ExploreResult TwoStageExplorer::explore(const ExploreContext& ctx) const {
   result.evaluated = attempted.size();
   span.set_arg("evaluated", static_cast<std::int64_t>(result.evaluated));
   result.points.reserve(archive.size());
-  result.flat.reserve(archive.size());
-  for (auto& [flat, point] : archive) {
-    result.points.push_back(std::move(point));
-    result.flat.push_back(flat);
-  }
+  for (const auto& entry : archive) result.points.push_back(entry.second);
   return result;
 }
 

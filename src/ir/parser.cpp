@@ -32,6 +32,14 @@ bool is_decl_start_keyword(const std::string& w) {
          w == "register" || w == "restrict";
 }
 
+/// Deepest recursion the parser enters.  Every cycle of the grammar
+/// passes a statement, an assignment, a conditional or a unary
+/// expression, and each of those counts one level (a parenthesis costs
+/// three), so a deeper input is a ParseError instead of a stack
+/// overflow.  The deepest of the paper kernels and their woven sources
+/// reaches 24.
+constexpr int kMaxNesting = 1000;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -57,6 +65,21 @@ class Parser {
   }
 
  private:
+  /// One level of kMaxNesting for as long as it lives.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxNesting)
+        parser_.fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+    }
+    ~Nesting() { --parser_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   // ---- token plumbing -------------------------------------------------
 
   const Token& peek(std::size_t ahead = 0) const {
@@ -269,6 +292,7 @@ class Parser {
   }
 
   StmtPtr parse_statement() {
+    const Nesting nesting(*this);
     if (peek().is(TokenKind::kDirective)) {
       const std::string body = trim(advance().text);
       if (!starts_with(body, "pragma"))
@@ -392,6 +416,7 @@ class Parser {
   // ---- expressions --------------------------------------------------------
 
   ExprPtr parse_assignment() {
+    const Nesting nesting(*this);
     auto lhs = parse_conditional();
     static const std::unordered_set<std::string> kAssignOps = {
         "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="};
@@ -404,6 +429,7 @@ class Parser {
   }
 
   ExprPtr parse_conditional() {
+    const Nesting nesting(*this);
     auto cond = parse_binary(0);
     if (accept_punct("?")) {
       auto then_expr = parse_assignment();
@@ -463,6 +489,7 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
+    const Nesting nesting(*this);
     const Token& t = peek();
     if (t.is_punct("+") || t.is_punct("-") || t.is_punct("!") || t.is_punct("~") ||
         t.is_punct("*") || t.is_punct("&") || t.is_punct("++") || t.is_punct("--")) {
@@ -564,6 +591,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Nesting levels currently entered
 };
 
 }  // namespace

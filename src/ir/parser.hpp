@@ -27,7 +27,9 @@ class ParseError : public std::runtime_error {
   int column_;
 };
 
-/// Parses a full source file.  Throws ParseError / LexError on bad input.
+/// Parses a full source file.  Throws ParseError / LexError on bad input,
+/// including statements and expressions nested deeper than the parser's
+/// recursion limit (1000 levels).
 TranslationUnit parse(std::string_view source);
 
 /// Parses a single expression (used by tests and by the weaver when it

@@ -112,9 +112,6 @@ class Context {
   const PowerMonitor& power_monitor() const { return power_monitor_; }
   const EnergyMonitor& energy_monitor() const { return energy_monitor_; }
 
-  /// Index of the operating point applied by the last update().
-  std::size_t current_operating_point() const { return current_op_; }
-
   /// One-line status string (mARGOt's margot::log analogue): current
   /// operating point, last observed EFPs and the correction factors.
   std::string log() const;

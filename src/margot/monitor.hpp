@@ -71,7 +71,6 @@ class CircularMonitor {
   void enable_outlier_filter();  ///< with default OutlierFilter settings
   void enable_outlier_filter(OutlierFilter filter);
   void disable_outlier_filter();
-  bool outlier_filter_enabled() const { return filter_enabled_; }
   /// Pushes the filter rejected since construction / clear().
   std::size_t outliers_rejected() const { return outliers_rejected_; }
 

@@ -52,13 +52,6 @@ const std::string& StateManager::active_state() const {
   return states_[active_].name;
 }
 
-std::vector<std::string> StateManager::state_names() const {
-  std::vector<std::string> names;
-  names.reserve(states_.size());
-  for (const auto& s : states_) names.push_back(s.name);
-  return names;
-}
-
 void StateManager::set_state_constraint_goal(const std::string& name, std::size_t index,
                                              double goal) {
   State& state = find(name);

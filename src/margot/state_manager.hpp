@@ -34,8 +34,6 @@ class StateManager {
   bool switch_to(const std::string& name);
 
   const std::string& active_state() const;
-  std::size_t state_count() const { return states_.size(); }
-  std::vector<std::string> state_names() const;
 
   /// Updates the goal of the `index`-th constraint of a (possibly
   /// inactive) state; applied immediately when the state is active.

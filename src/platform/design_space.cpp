@@ -46,16 +46,6 @@ Configuration DesignSpace::configuration(const Point& p) const {
   return {configs[p.config].config, thread_counts[p.thread], bindings[p.binding]};
 }
 
-DesignSpace::Point DesignSpace::point(std::size_t config, const Configuration& c) const {
-  const Point p{config, index_of(thread_counts, c.threads),
-                index_of(bindings, c.binding)};
-  SOCRATES_REQUIRE_MSG(config < configs.size() && configs[config].config == c.flags &&
-                           p.thread < thread_counts.size() && p.binding < bindings.size(),
-                       "config " << config << " at " << c.threads << " threads, "
-                                 << to_string(c.binding) << " is no point of the space");
-  return p;
-}
-
 const std::vector<std::string>& DesignSpace::knob_names() {
   static const std::vector<std::string> kNames = {"config", "threads", "binding"};
   return kNames;
@@ -96,12 +86,6 @@ DesignSpace::Point DesignSpace::decode(const std::vector<int>& knob_row) const {
 
 int DesignSpace::binding_code(BindingPolicy binding) {
   return binding == BindingPolicy::kClose ? 0 : 1;
-}
-
-BindingPolicy DesignSpace::binding_of_code(int code) {
-  SOCRATES_REQUIRE_MSG(code == 0 || code == 1,
-                       "binding code " << code << " is not 0 or 1");
-  return code == 0 ? BindingPolicy::kClose : BindingPolicy::kSpread;
 }
 
 std::vector<CloneSpec> DesignSpace::clones() const {

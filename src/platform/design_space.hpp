@@ -3,9 +3,9 @@
 // The paper tunes compiler configuration (CO) x OpenMP threads (TN) x
 // binding policy (BP).  DesignSpace is the only code that converts a
 // design point between its flat index (config-major, then threads,
-// then binding: the full sweep's order and the key of its DSE noise
-// stream), its Configuration, its knowledge-base knob row, its binding
-// code in the profile text, its weaver clone and the bytes it feeds an
+// then binding: the full sweep's order, the key of its DSE noise
+// stream and what a profile record stores), its Configuration, its
+// knowledge-base knob row, its weaver clone and the bytes it feeds an
 // artifact-cache key.  A new dimension is a change to this file alone.
 #pragma once
 
@@ -54,9 +54,6 @@ struct DesignSpace {
   Point point(std::size_t flat) const;
   std::size_t flat(const Point& p) const;
   Configuration configuration(const Point& p) const;
-  /// Inverse of configuration(): the point that runs `c` as config
-  /// `config`.  Throws ContractViolation when the space holds none.
-  Point point(std::size_t config, const Configuration& c) const;
 
   /// Knowledge-base schema: knobs (config, threads, binding), metrics
   /// (exec_time_s, power_w, throughput).
@@ -69,9 +66,8 @@ struct DesignSpace {
   /// thread count from a larger machine).
   Point decode(const std::vector<int>& knob_row) const;
 
-  /// Binding code of knob rows and profiles: close 0, spread 1.
+  /// Binding code of knob rows: close 0, spread 1.
   static int binding_code(BindingPolicy binding);
-  static BindingPolicy binding_of_code(int code);
 
   /// Every clone, in version-id order: config-major, then binding.
   std::vector<CloneSpec> clones() const;

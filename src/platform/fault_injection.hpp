@@ -98,8 +98,6 @@ class FaultSchedule {
   void add(VariantFault fault);
 
   bool empty() const { return sensor_faults_.empty() && variant_faults_.empty(); }
-  std::size_t sensor_fault_count() const { return sensor_faults_.size(); }
-  std::size_t variant_fault_count() const { return variant_faults_.size(); }
 
   /// Latch state for kStuckCounter, owned by the reading side so one
   /// schedule can corrupt several independent counters.

@@ -50,7 +50,6 @@ bool InputAwareApplication::set_input(double scale) {
   SOCRATES_REQUIRE(scale > 0.0);
   const std::size_t chosen = binary_.knowledge.select({scale});
   executor_.set_work_scale(scale);
-  current_scale_ = scale;
   const bool changed = !input_set_ || chosen != active_;
   active_ = chosen;
   input_set_ = true;

@@ -55,7 +55,6 @@ class InputAwareApplication {
   void add_constraint_all(const margot::Constraint& constraint);
 
   std::size_t active_cluster() const;
-  double current_scale() const { return current_scale_; }
 
   /// One update/start/kernel/stop iteration on the active cluster.
   TraceSample run_iteration();
@@ -67,7 +66,6 @@ class InputAwareApplication {
   platform::KernelExecutor executor_;
   std::vector<std::unique_ptr<margot::Context>> contexts_;  ///< one per cluster
   std::size_t active_ = 0;
-  double current_scale_ = 1.0;
   bool input_set_ = false;
   std::vector<int> knobs_;  ///< one slot per DesignSpace knob
 };

@@ -72,12 +72,6 @@ void count_key_bytes(const Hasher& h) {
 
 }  // namespace
 
-double PipelineReport::total_seconds() const {
-  double total = 0.0;
-  for (const auto& s : stages) total += s.seconds;
-  return total;
-}
-
 const StageReport* PipelineReport::stage(std::string_view name) const {
   for (std::size_t i = stages.size(); i-- > 0;)
     if (stages[i].name == name) return &stages[i];
@@ -207,9 +201,8 @@ Pipeline::ExploreCacheResult Pipeline::explore_cached(
                                              repetitions, seed, work_scale, explorer);
   if (auto payload = cache_->load(key, "dse-profile")) {
     try {
-      std::istringstream in(*payload);
       ExploreCacheResult hit;
-      hit.points = dse::load_profile(in);
+      hit.points = dse::load_profile(space, *payload);
       hit.cache_hit = true;
       hit.evaluated = hit.points.size();
       return hit;
@@ -221,9 +214,7 @@ Pipeline::ExploreCacheResult Pipeline::explore_cached(
                           seed,      work_scale, &pool_, options_.dse_point_attempts};
   auto run = explorer.explore(ctx);
   if (run.dropped == 0) {
-    std::ostringstream out;
-    dse::save_profile(out, run.points);
-    cache_->store(key, "dse-profile", out.str());
+    cache_->store(key, "dse-profile", dse::save_profile(run.points));
   } else {
     // Never cache a degraded profile: a later chaos-free build must
     // re-explore, not inherit the holes.
@@ -389,8 +380,7 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
     out.representatives = reps.representatives;
     std::vector<platform::DesignSpace::Point> kept;
     for (const std::size_t i : out.representatives)
-      kept.push_back(
-          out.space.point(out.profile[i].config_index, out.profile[i].configuration));
+      kept.push_back(out.space.point(out.profile[i].flat));
     clones = out.space.clones(kept);
     std::ostringstream os;
     os << "front " << reps.front.size() << " -> " << out.representatives.size()
@@ -405,7 +395,7 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
   const StageScope weave_stage("Weave");
   auto weave_sup = supervisor_.run_or_report("Weave", [&] {
     chaos.on_stage("stage.Weave");
-    out.woven = weaver::weave_benchmark(name, source, clones);
+    out.woven = weaver::weave_benchmark(name, *tu, clones);
   });
   std::string weave_note;
   if (!weave_sup.succeeded) {

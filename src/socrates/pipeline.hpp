@@ -91,7 +91,6 @@ struct StageReport {
 struct PipelineReport {
   std::vector<StageReport> stages;
 
-  double total_seconds() const;
   /// Last stage with this name, nullptr when absent.
   const StageReport* stage(std::string_view name) const;
 };
@@ -102,7 +101,9 @@ struct PipelineReport {
 inline constexpr std::uint64_t kCobaynStageVersion = 1;
 /// v2: the Dse stage runs a pluggable Explorer; keys gained the
 /// strategy fingerprint and old full-factorial artifacts were retired.
-inline constexpr std::uint64_t kDseStageVersion = 2;
+/// v3: the profile payload is binary records (dse::save_profile), so a
+/// stored text profile is a miss.
+inline constexpr std::uint64_t kDseStageVersion = 3;
 
 /// Fingerprint of the performance model (topology, power constants,
 /// noise magnitudes).  Two platforms that would measure differently

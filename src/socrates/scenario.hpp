@@ -27,8 +27,6 @@ class Scenario {
   /// Returns *this for chaining.
   Scenario& at(double at_s, std::string description, Action action);
 
-  std::size_t event_count() const { return events_.size(); }
-
   /// Runs `app` until `duration_s` (relative to the app's current
   /// time), firing each event when the simulated clock first reaches
   /// its timestamp.  Returns the collected trace.  Events scheduled at

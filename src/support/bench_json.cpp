@@ -131,6 +131,11 @@ JsonWriter& JsonWriter::value(std::string_view text) {
 
 namespace {
 
+/// Deepest object/array nesting the reader accepts: a deeper document is
+/// an Error instead of a stack overflow.  Bench artifacts and baselines
+/// nest three levels.
+constexpr std::size_t kMaxDepth = 256;
+
 /// Minimal recursive-descent JSON reader that records numeric/boolean
 /// leaves under dotted paths.  Good enough for bench artifacts and
 /// baseline files; not a general-purpose validator.
@@ -141,7 +146,7 @@ class LeafParser {
 
   void run() {
     skip_ws();
-    parse_value("");
+    parse_value("", 0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
   }
@@ -193,9 +198,11 @@ class LeafParser {
     return s;
   }
 
-  void parse_value(const std::string& path) {
+  void parse_value(const std::string& path, std::size_t depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     if (c == '{') {
       ++pos_;
       skip_ws();
@@ -205,7 +212,7 @@ class LeafParser {
         const std::string name = parse_string();
         skip_ws();
         expect(':');
-        parse_value(path.empty() ? name : path + '.' + name);
+        parse_value(path.empty() ? name : path + '.' + name, depth + 1);
         skip_ws();
         if (peek() == ',') { ++pos_; continue; }
         expect('}');
@@ -217,7 +224,7 @@ class LeafParser {
       if (peek() == ']') { ++pos_; return; }
       std::size_t index = 0;
       while (true) {
-        parse_value(path + '[' + std::to_string(index++) + ']');
+        parse_value(path + '[' + std::to_string(index++) + ']', depth + 1);
         skip_ws();
         if (peek() == ',') { ++pos_; continue; }
         expect(']');

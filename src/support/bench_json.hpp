@@ -76,7 +76,8 @@ class JsonWriter {
 };
 
 /// Flattens every numeric/boolean leaf of a JSON document into
-/// "a.b[0].c" -> value.  Throws socrates::Error on malformed input.
+/// "a.b[0].c" -> value.  Throws socrates::Error on malformed input and
+/// on objects/arrays nested more than 256 deep.
 std::map<std::string, double> parse_numeric_leaves(std::string_view text);
 
 /// One bound of a committed baseline file.

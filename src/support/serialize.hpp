@@ -1,7 +1,7 @@
 // Exact-round-trip double formatting for text artifacts.
 //
-// Artifact payloads (trained COBAYN models, DSE profiles, the server
-// knowledge pool) are whitespace-separated text; doubles are written as
+// Text artifact payloads (trained COBAYN models, the server knowledge
+// pool) are whitespace-separated; doubles are written as
 // C99-style hexfloats and read back exactly — the determinism contract
 // requires byte-identical reload.  Both directions run through
 // to_chars/from_chars rather than snprintf("%a")/strtod: the printf

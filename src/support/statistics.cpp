@@ -120,14 +120,6 @@ double mean_of(const std::vector<double>& values) {
   return s / static_cast<double>(values.size());
 }
 
-double stddev_of(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean_of(values);
-  double acc = 0.0;
-  for (const double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
 double geometric_mean_of(const std::vector<double>& values) {
   SOCRATES_REQUIRE(!values.empty());
   double log_sum = 0.0;

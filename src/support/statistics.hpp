@@ -67,9 +67,6 @@ std::vector<double> normalized_by(const std::vector<double>& values, double deno
 /// Arithmetic mean of a non-empty vector.
 double mean_of(const std::vector<double>& values);
 
-/// Sample standard deviation of a vector (0 when n < 2).
-double stddev_of(const std::vector<double>& values);
-
 /// Geometric mean of a non-empty vector of positive values.
 double geometric_mean_of(const std::vector<double>& values);
 

@@ -175,8 +175,9 @@ std::size_t lara_logical_loc(const std::string& source) {
 }
 
 std::size_t strategy_logical_loc() {
-  return lara_logical_loc(multiversioning_aspect()) +
-         lara_logical_loc(autotuner_aspect());
+  static const std::size_t kLoc = lara_logical_loc(multiversioning_aspect()) +
+                                  lara_logical_loc(autotuner_aspect());
+  return kLoc;
 }
 
 }  // namespace socrates::weaver

@@ -27,7 +27,7 @@ const std::string& autotuner_aspect();
 std::size_t lara_logical_loc(const std::string& source);
 
 /// Total logical LOC of the complete strategy (both aspects) — the
-/// Bloat denominator.
+/// Bloat denominator.  Counted once, on the first call.
 std::size_t strategy_logical_loc();
 
 }  // namespace socrates::weaver

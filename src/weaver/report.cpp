@@ -1,15 +1,14 @@
 #include "weaver/report.hpp"
 
 #include "ir/loc_counter.hpp"
-#include "ir/parser.hpp"
 #include "weaver/aspects.hpp"
 
 namespace socrates::weaver {
 
-WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
+WovenBenchmark weave_benchmark(const std::string& name, const ir::TranslationUnit& unit,
                                const std::vector<platform::CloneSpec>& clones) {
   WovenBenchmark out;
-  out.unit = ir::parse(source);
+  out.unit = unit.clone();
   out.report.benchmark = name;
   out.report.original_loc = ir::logical_loc(out.unit);
   out.report.strategy_loc = strategy_logical_loc();

@@ -32,10 +32,11 @@ struct WovenBenchmark {
   WeaveReport report;
 };
 
-/// Parses `source`, applies Multiversioning over `clones` (e.g.
+/// Weaves a clone of the parsed `unit` (which stays untouched):
+/// applies Multiversioning over `clones` (e.g.
 /// platform::DesignSpace::clones()) then Autotuner, and collects the
 /// Table I metrics.
-WovenBenchmark weave_benchmark(const std::string& name, const std::string& source,
+WovenBenchmark weave_benchmark(const std::string& name, const ir::TranslationUnit& unit,
                                const std::vector<platform::CloneSpec>& clones);
 
 }  // namespace socrates::weaver

@@ -283,7 +283,8 @@ TEST(ArtifactKeys, DseKeyTracksEveryInput) {
 
 // The keys earlier builds stored their artifacts under.  A change that
 // moves one byte in or out of a key orphans every on-disk cache, so a
-// pin changes only on purpose, together with the stage version.
+// pin changes only on purpose, together with the stage version.  The
+// DSE pins are the keys at kDseStageVersion 3 (binary profile records).
 TEST(ArtifactKeys, DseKeysArePinned) {
   const auto space = platform::DesignSpace::paper_space(model().topology());
   const auto& bench = kernels::find_benchmark("2mm");
@@ -292,10 +293,10 @@ TEST(ArtifactKeys, DseKeysArePinned) {
   two_stage.seed_configs = {4, 5, 6, 7};
   EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
                              dse::FullFactorialExplorer()),
-            0x29300316a72b91a0ULL);
+            0x163e0929746c4041ULL);
   EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
                              dse::TwoStageExplorer(two_stage)),
-            0x977272884929a711ULL);
+            0xdfac0a365368c34eULL);
 }
 
 TEST(ArtifactKeys, CobaynKeyIsPinned) {
@@ -312,32 +313,29 @@ TEST(ArtifactFormats, ProfileRoundTripsExactly) {
           .explore({model(), kernels::find_benchmark("mvt").model, space, 2, 11})
           .points;
 
-  std::ostringstream first;
-  dse::save_profile(first, points);
-  std::istringstream in(first.str());
-  const auto reloaded = dse::load_profile(in);
+  const std::string first = dse::save_profile(points);
+  EXPECT_EQ(first.size(), 4 + points.size() * dse::kProfileRecordBytes);
+  const auto reloaded = dse::load_profile(space, first);
   ASSERT_EQ(reloaded.size(), points.size());
-  std::ostringstream second;
-  dse::save_profile(second, reloaded);
-  EXPECT_EQ(second.str(), first.str());  // hexfloat: exact round trip
+  EXPECT_EQ(dse::save_profile(reloaded), first);  // every double keeps its bits
 
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(reloaded[i].config_index, points[i].config_index);
-    EXPECT_EQ(reloaded[i].config_name, points[i].config_name);
-    EXPECT_EQ(reloaded[i].configuration.threads, points[i].configuration.threads);
+    EXPECT_EQ(reloaded[i].flat, points[i].flat);
     EXPECT_EQ(reloaded[i].exec_time_mean_s, points[i].exec_time_mean_s);
     EXPECT_EQ(reloaded[i].power_mean_w, points[i].power_mean_w);
   }
 }
 
 TEST(ArtifactFormats, MalformedProfileThrows) {
-  // The last two claim more points than any stream backs: the loader
-  // must fail on the missing points, not on allocating for the claim.
-  for (const char* bad :
-       {"", "profile v2 1", "profile v1 notanumber", "profile v1 1\n0 cfg 9 0 1 0",
-        "profile v1 100000000000", "profile v1 1000000000000000000"}) {
-    std::istringstream in(bad);
-    EXPECT_THROW(dse::load_profile(in), ContractViolation) << bad;
+  // The text profiles of stage version 2 and payloads too short for
+  // their record count: the loader must fail on the size, not on
+  // allocating for the claim.
+  const auto space = platform::DesignSpace::paper_space(model().topology());
+  for (const std::string& bad :
+       {std::string(), std::string("\x01\x00\x00", 3), std::string("\x01\x00\x00\x00", 4),
+        std::string("profile v1 notanumber"), std::string("profile v1 1\n0 cfg 9 0 1 0"),
+        std::string("profile v1 100000000000"), std::string("\xff\xff\xff\xff", 4)}) {
+    EXPECT_THROW(dse::load_profile(space, bad), ContractViolation) << bad;
   }
 }
 
@@ -422,10 +420,7 @@ TEST(PipelineCache, SecondBuildHitsBothExpensiveStages) {
   EXPECT_TRUE(warm_cobayn->cache_hit);
 
   // The cached profile is the recomputed profile, byte for byte.
-  std::ostringstream a, b;
-  dse::save_profile(a, cold.profile);
-  dse::save_profile(b, warm.profile);
-  EXPECT_EQ(b.str(), a.str());
+  EXPECT_EQ(dse::save_profile(warm.profile), dse::save_profile(cold.profile));
 }
 
 TEST(PipelineCache, FreshPipelineReusesASharedCache) {
@@ -439,11 +434,7 @@ TEST(PipelineCache, FreshPipelineReusesASharedCache) {
   const auto warm = second.build("bicg");
   EXPECT_TRUE(second.last_report().stage("Dse")->cache_hit);
   EXPECT_TRUE(second.last_report().stage("CobaynPredict")->cache_hit);
-
-  std::ostringstream a, b;
-  dse::save_profile(a, cold.profile);
-  dse::save_profile(b, warm.profile);
-  EXPECT_EQ(b.str(), a.str());
+  EXPECT_EQ(dse::save_profile(warm.profile), dse::save_profile(cold.profile));
 }
 
 TEST(PipelineCache, DifferentWorkScaleOrSeedMissesTheCache) {
@@ -476,10 +467,7 @@ TEST(PipelineCache, SecondProfileSpaceCallHitsTheDseCache) {
 
   const auto warm = pipeline.profile_space("atax", space, 2, 2018);
   EXPECT_TRUE(pipeline.last_report().stage("Dse")->cache_hit);
-  std::ostringstream a, b;
-  dse::save_profile(a, cold);
-  dse::save_profile(b, warm);
-  EXPECT_EQ(b.str(), a.str());
+  EXPECT_EQ(dse::save_profile(warm), dse::save_profile(cold));
 }
 
 TEST(PipelineCache, UnusableStoredArtifactTriggersRecomputeNotCrash) {

@@ -89,6 +89,22 @@ TEST(ParseNumericLeaves, MalformedDocumentsThrow) {
   EXPECT_THROW(parse_numeric_leaves("not json"), Error);
 }
 
+TEST(ParseNumericLeaves, DeepNestingIsAnErrorNotAStackOverflow) {
+  const auto nested = [](std::size_t levels) {
+    return std::string(levels, '[') + "1" + std::string(levels, ']');
+  };
+  EXPECT_EQ(parse_numeric_leaves(nested(256)).size(), 1u);
+  try {
+    parse_numeric_leaves(nested(100000));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_numeric_leaves(std::string(100000, '{')), Error);
+}
+
 TEST(ParseNumericLeaves, AcceptsExponentAndSignedZeroForms) {
   const auto leaves = parse_numeric_leaves(
       R"({"a": 1e3, "b": 2.5E-2, "c": -0.0, "d": -12.75,

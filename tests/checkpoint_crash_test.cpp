@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <iomanip>
@@ -89,9 +90,12 @@ class CheckpointCrashTortureTest
  protected:
   void SetUp() override {
     ChaosEngine::global().disarm();
+    // A parameterized test's name holds a '/', which would nest the
+    // directory one level below the one TearDown removes.
+    std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = fs::temp_directory_path() /
-           ("socrates_crash." + std::to_string(::getpid()) + "." +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("socrates_crash." + std::to_string(::getpid()) + "." + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     path_ = (dir_ / "asrtm.ckpt").string();

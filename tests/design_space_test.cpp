@@ -55,8 +55,6 @@ TEST(DesignSpace, FlatIndexIsConfigMajorThenThreadsThenBinding) {
 TEST(DesignSpace, EveryEncodingRoundTrips) {
   for (std::size_t flat = 0; flat < space().size(); ++flat) {
     const auto p = space().point(flat);
-    const Configuration c = space().configuration(p);
-    EXPECT_TRUE(same(space().point(p.config, c), p)) << flat;
     EXPECT_TRUE(same(space().decode(space().knob_row(p)), p)) << flat;
   }
   // The knob row holds the config index, the thread count (not its
@@ -87,21 +85,9 @@ TEST(DesignSpace, DecodeNamesTheKnobAndValueTheSpaceCannotHold) {
   EXPECT_THROW(close_only.decode({0, 1, 1}), ContractViolation);
 }
 
-TEST(DesignSpace, PointOfAConfigurationOutsideTheSpaceThrows) {
-  const Configuration c = space().configuration({2, 3, 0});
-  EXPECT_THROW(space().point(8, c), ContractViolation);
-  EXPECT_THROW(space().point(3, c), ContractViolation) << "config 3 has other flags";
-  Configuration wide = c;
-  wide.threads = 64;
-  EXPECT_THROW(space().point(2, wide), ContractViolation);
-}
-
 TEST(DesignSpace, BindingCodes) {
   EXPECT_EQ(DesignSpace::binding_code(BindingPolicy::kClose), 0);
   EXPECT_EQ(DesignSpace::binding_code(BindingPolicy::kSpread), 1);
-  EXPECT_EQ(DesignSpace::binding_of_code(0), BindingPolicy::kClose);
-  EXPECT_EQ(DesignSpace::binding_of_code(1), BindingPolicy::kSpread);
-  EXPECT_THROW(DesignSpace::binding_of_code(2), ContractViolation);
 }
 
 TEST(DesignSpace, FullCloneListIsConfigMajorThenBinding) {

@@ -66,29 +66,20 @@ TEST_F(DseExplorer, DecodeKnobsRoundTripsAcrossEveryStrategy) {
       EXPECT_EQ(result.evaluated, space().size());
     }
 
-    // Each returned point names its flat index, and that index decodes
-    // to the point's own configuration, threads and binding.
-    ASSERT_EQ(result.flat.size(), result.points.size()) << e->name();
-    for (std::size_t k = 0; k < result.points.size(); ++k) {
-      const auto& p = result.points[k];
-      const auto point = space().point(result.flat[k]);
-      const auto config = space().configuration(point);
-      EXPECT_EQ(point.config, p.config_index) << e->name() << " point " << k;
-      EXPECT_EQ(config.threads, p.configuration.threads) << e->name() << " point " << k;
-      EXPECT_EQ(config.binding, p.configuration.binding) << e->name() << " point " << k;
+    // Each returned point names a distinct flat index of the space, and
+    // its knowledge row decodes back to that index.
+    std::set<std::size_t> profiled;
+    for (const auto& p : result.points) {
+      ASSERT_LT(p.flat, space().size()) << e->name();
+      profiled.insert(p.flat);
     }
-
-    std::set<std::tuple<std::size_t, int>> profiled;
-    for (const auto& p : result.points)
-      profiled.insert({p.configuration.threads, static_cast<int>(p.configuration.binding)});
+    EXPECT_EQ(profiled.size(), result.points.size()) << e->name();
 
     const auto kb = to_knowledge_base(space(), result.points);
     ASSERT_EQ(kb.size(), result.points.size()) << e->name();
-    for (const auto& op : kb.points()) {
-      const auto config = space().configuration(space().decode(op.knobs));
-      EXPECT_TRUE(profiled.count({config.threads, static_cast<int>(config.binding)}))
-          << e->name() << ": decoded a configuration that was never profiled";
-    }
+    for (std::size_t k = 0; k < kb.size(); ++k)
+      EXPECT_EQ(space().flat(space().decode(kb[k].knobs)), result.points[k].flat)
+          << e->name() << " point " << k;
   }
 }
 
@@ -125,10 +116,10 @@ TEST_F(DseExplorer, ProfilePointsKeepsTheRequestOrderAndTheSweepBits) {
   const auto full = FullFactorialExplorer().explore(context(kernel));
   const std::vector<std::size_t> wanted = {300, 7, 511};
   const auto picked = profile_points(context(kernel), wanted);
-  EXPECT_EQ(picked.flat, wanted);
   EXPECT_EQ(picked.evaluated, wanted.size());
   ASSERT_EQ(picked.points.size(), wanted.size());
   for (std::size_t k = 0; k < wanted.size(); ++k) {
+    EXPECT_EQ(picked.points[k].flat, wanted[k]);
     EXPECT_EQ(picked.points[k].exec_time_mean_s, full.points[wanted[k]].exec_time_mean_s);
     EXPECT_EQ(picked.points[k].power_mean_w, full.points[wanted[k]].power_mean_w);
   }
@@ -195,10 +186,8 @@ TEST_F(DseExplorer, TwoStageSeedChangesTheSearch) {
   const auto c = explorer.explore(context(kernel, 2, 2));
 
   const auto flat_set = [](const ExploreResult& r) {
-    std::set<std::tuple<std::size_t, std::size_t, int>> s;
-    for (const auto& p : r.points)
-      s.insert({p.config_index, p.configuration.threads,
-                static_cast<int>(p.configuration.binding)});
+    std::set<std::size_t> s;
+    for (const auto& p : r.points) s.insert(p.flat);
     return s;
   };
   EXPECT_EQ(flat_set(a), flat_set(b)) << "same seed, same exploration";
@@ -224,13 +213,10 @@ TEST_F(DseExplorer, ChaosDropsPointsButNeverCorruptsTheArchive) {
   EXPECT_EQ(chaotic.points.size() + chaotic.dropped, chaotic.evaluated);
   EXPECT_LE(chaotic.evaluated, explorer.resolved_budget(space().size()));
   ASSERT_FALSE(chaotic.points.empty());
-  ASSERT_EQ(chaotic.flat.size(), chaotic.points.size());
-  for (std::size_t k = 0; k < chaotic.points.size(); ++k) {
-    const auto& want = clean.points[chaotic.flat[k]];
-    EXPECT_EQ(chaotic.points[k].exec_time_mean_s, want.exec_time_mean_s)
-        << "flat " << chaotic.flat[k];
-    EXPECT_EQ(chaotic.points[k].power_mean_w, want.power_mean_w)
-        << "flat " << chaotic.flat[k];
+  for (const auto& p : chaotic.points) {
+    const auto& want = clean.points[p.flat];
+    EXPECT_EQ(p.exec_time_mean_s, want.exec_time_mean_s) << "flat " << p.flat;
+    EXPECT_EQ(p.power_mean_w, want.power_mean_w) << "flat " << p.flat;
   }
 }
 

@@ -35,10 +35,9 @@ std::vector<ProfiledPoint> profile(const char* bench, std::size_t reps = 3) {
 TEST(Dse, CoversTheWholeSpaceOnce) {
   const auto points = profile("2mm");
   EXPECT_EQ(points.size(), 512u);
-  std::set<std::tuple<std::size_t, std::size_t, int>> seen;
+  std::set<std::size_t> seen;
   for (const auto& p : points) {
-    seen.insert({p.config_index, p.configuration.threads,
-                 static_cast<int>(p.configuration.binding)});
+    seen.insert(p.flat);
     EXPECT_GT(p.exec_time_mean_s, 0.0);
     EXPECT_GT(p.power_mean_w, 0.0);
     EXPECT_GE(p.exec_time_stddev_s, 0.0);
@@ -252,12 +251,8 @@ TEST(KbExport, MetricsMatchProfiledPoints) {
 TEST(KbExport, DecodeKnobsRoundTrips) {
   const auto points = profile("2mm");
   const auto kb = to_knowledge_base(space(), points);
-  for (std::size_t i = 0; i < kb.size(); i += 37) {
-    const auto config = space().configuration(space().decode(kb[i].knobs));
-    EXPECT_EQ(config.threads, points[i].configuration.threads);
-    EXPECT_EQ(config.binding, points[i].configuration.binding);
-    EXPECT_TRUE(config.flags == points[i].configuration.flags);
-  }
+  for (std::size_t i = 0; i < kb.size(); i += 37)
+    EXPECT_EQ(space().flat(space().decode(kb[i].knobs)), points[i].flat);
 }
 
 TEST(KbExport, DecodeRejectsMalformedKnobs) {
@@ -269,7 +264,7 @@ TEST(KbExport, DecodeRejectsMalformedKnobs) {
 
 TEST(KbExport, RejectsAPointOutsideTheSpace) {
   auto points = profile("atax", 1);
-  points[3].configuration.threads = 64;
+  points[3].flat = space().size();
   EXPECT_THROW(to_knowledge_base(space(), points), ContractViolation);
 }
 

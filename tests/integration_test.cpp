@@ -3,13 +3,18 @@
 // application runtime (the Figure 4 / Figure 5 behaviours).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 
+#include "ir/printer.hpp"
+#include "kernels/sources.hpp"
 #include "margot/kb_io.hpp"
 #include "socrates/adaptive_app.hpp"
 #include "socrates/pipeline.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace socrates {
 namespace {
@@ -76,6 +81,42 @@ TEST(Toolchain, PaperCfModeUsesPublishedConfigs) {
   ASSERT_EQ(bin.custom_configs.size(), paper.size());
   for (std::size_t i = 0; i < paper.size(); ++i)
     EXPECT_TRUE(bin.custom_configs[i].config == paper[i].config);
+}
+
+// The Weave stage weaves a clone of the Parse stage's unit.  These are
+// the hashes of the printed woven source and the Table I rows (Att,
+// Act, O-LOC, W-LOC) of weaving a fresh parse of each source, so
+// weaving the Parse stage's unit must not change a byte.
+TEST(Toolchain, WovenSourcesAndTableOneRowsArePinned) {
+  struct Golden {
+    const char* name;
+    std::uint64_t source_hash;
+    std::size_t att, act, original_loc, weaved_loc;
+  };
+  const Golden kGolden[] = {
+      {"2mm", 0xcaaf893b324ffeb5ULL, 174, 105, 65, 410},
+      {"3mm", 0x653ba7843f9e44f7ULL, 225, 121, 68, 509},
+      {"atax", 0x6891ba56b17ea502ULL, 113, 89, 41, 338},
+      {"correlation", 0x027915ebfbcb9ca6ULL, 170, 105, 62, 647},
+      {"doitgen", 0x380761b8ef9d452cULL, 115, 89, 50, 363},
+      {"gemver", 0xef8f34b4bc788282ULL, 219, 121, 58, 419},
+      {"jacobi-2d", 0x39aee2a56cedb950ULL, 165, 105, 42, 339},
+      {"mvt", 0x332485abd5a7892fULL, 161, 105, 40, 305},
+      {"nussinov", 0x447d3277ddf48354ULL, 115, 89, 47, 408},
+      {"seidel-2d", 0x94a760cc07f45503ULL, 111, 89, 34, 267},
+      {"syr2k", 0x9236d98ca972474cULL, 116, 89, 46, 311},
+      {"syrk", 0x05703cc27a5b67bcULL, 116, 89, 44, 309},
+  };
+  ASSERT_EQ(std::size(kGolden), kernels::benchmark_names().size());
+  for (const Golden& g : kGolden) {
+    const auto bin = pipeline().build(g.name);
+    EXPECT_EQ(stable_hash64(ir::print(bin.woven.unit)), g.source_hash) << g.name;
+    const auto& row = bin.woven.report;
+    EXPECT_EQ(row.attributes, g.att) << g.name;
+    EXPECT_EQ(row.actions, g.act) << g.name;
+    EXPECT_EQ(row.original_loc, g.original_loc) << g.name;
+    EXPECT_EQ(row.weaved_loc, g.weaved_loc) << g.name;
+  }
 }
 
 TEST(Toolchain, CobaynTrainsOnce) {

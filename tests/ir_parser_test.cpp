@@ -2,6 +2,8 @@
 // declarations, functions and directives.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/loc_counter.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
@@ -263,6 +265,26 @@ TEST(ParserTop, ErrorCarriesLocation) {
     EXPECT_EQ(e.line(), 1);
     EXPECT_GT(e.column(), 1);
   }
+}
+
+TEST(ParserTop, DeepNestingIsAParseErrorNotAStackOverflow) {
+  // A function returning `levels` nested parentheses around 1.
+  const auto nested = [](std::size_t levels) {
+    return "int f(void) { return " + std::string(levels, '(') + "1" +
+           std::string(levels, ')') + "; }";
+  };
+  EXPECT_NO_THROW(parse(nested(200)));
+  try {
+    parse(nested(100000));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 1000 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  // Statements nest through the same limit.
+  EXPECT_THROW(parse("void g(void) " + std::string(100000, '{') + std::string(100000, '}')),
+               ParseError);
 }
 
 }  // namespace

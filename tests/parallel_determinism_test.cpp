@@ -42,12 +42,10 @@ std::vector<dse::ProfiledPoint> full_sweep(const platform::KernelModelParams& ke
       .points;
 }
 
-// save_profile writes hexfloat doubles (exact round trip), so equal
-// strings means bit-identical profiles.
+// save_profile keeps every double's bits, so equal strings means
+// bit-identical profiles.
 std::string profile_bytes(const std::vector<dse::ProfiledPoint>& points) {
-  std::ostringstream out;
-  dse::save_profile(out, points);
-  return out.str();
+  return dse::save_profile(points);
 }
 
 TEST(ParallelDeterminism, DseProfileIsByteIdenticalAtAnyJobCount) {
@@ -156,13 +154,10 @@ TEST(ParallelDeterminism, WarmSeededTwoStageIsByteIdenticalAtAnyJobCount) {
   for (const auto& want : direct.points) {
     const bool present = std::any_of(
         baseline.points.begin(), baseline.points.end(), [&](const auto& p) {
-          return p.config_index == want.config_index &&
-                 p.configuration.threads == want.configuration.threads &&
-                 p.configuration.binding == want.configuration.binding &&
-                 p.exec_time_mean_s == want.exec_time_mean_s &&
+          return p.flat == want.flat && p.exec_time_mean_s == want.exec_time_mean_s &&
                  p.power_mean_w == want.power_mean_w;
         });
-    EXPECT_TRUE(present) << "warm seed missing: " << want.config_name;
+    EXPECT_TRUE(present) << "warm seed missing: " << want.flat;
   }
 
   for (const std::size_t jobs : {2u, 8u}) {
@@ -202,11 +197,8 @@ TEST(ParallelDeterminism, TwoStagePointsMatchTheFullSweepBitForBit) {
   const auto explored = dse::TwoStageExplorer(params).explore(ctx);
   ASSERT_GT(explored.points.size(), 0u);
   for (const auto& p : explored.points) {
-    const auto match = std::find_if(full.begin(), full.end(), [&](const auto& q) {
-      return q.config_index == p.config_index &&
-             q.configuration.threads == p.configuration.threads &&
-             q.configuration.binding == p.configuration.binding;
-    });
+    const auto match = std::find_if(full.begin(), full.end(),
+                                    [&](const auto& q) { return q.flat == p.flat; });
     ASSERT_NE(match, full.end());
     EXPECT_EQ(profile_bytes({p}), profile_bytes({*match}));
   }

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 
+#include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "kernels/sources.hpp"
 #include "weaver/margot_header.hpp"
@@ -43,8 +44,8 @@ class CompileWoven : public ::testing::TestWithParam<std::string> {};
 TEST_P(CompileWoven, WovenSourceCompilesWithRealCc) {
   if (!have_cc()) GTEST_SKIP() << "no system C compiler";
   const std::string dir = workdir();
-  const auto woven =
-      weave_benchmark(GetParam(), kernels::benchmark_source(GetParam()), paper_clones());
+  const auto woven = weave_benchmark(
+      GetParam(), ir::parse(kernels::benchmark_source(GetParam())), paper_clones());
 
   const std::string base = dir + "/" + GetParam();
   write_file(dir + "/margot.h", margot_header_source());
@@ -84,7 +85,7 @@ TEST(CompileWoven, WovenBinaryLinksAndRunsWithTheStub) {
   const std::string dir = workdir();
   // mvt is the smallest footprint (two N x N doubles fit comfortably).
   const auto woven =
-      weave_benchmark("mvt", kernels::benchmark_source("mvt"), paper_clones());
+      weave_benchmark("mvt", ir::parse(kernels::benchmark_source("mvt")), paper_clones());
 
   write_file(dir + "/margot.h", margot_header_source());
   write_file(dir + "/margot_stub.c", margot_stub_source());

@@ -27,7 +27,7 @@ class Strategies : public ::testing::TestWithParam<std::string> {
   WovenBenchmark weave() {
     const auto space =
         platform::DesignSpace::paper_space(platform::MachineTopology::xeon_e5_2630_v3());
-    return weave_benchmark(GetParam(), kernels::benchmark_source(GetParam()),
+    return weave_benchmark(GetParam(), ir::parse(kernels::benchmark_source(GetParam())),
                            space.clones());
   }
 };
@@ -232,7 +232,7 @@ int main(int argc, char **argv)
 }
 )";
   const auto woven = weave_benchmark(
-      "two-kernels", kTwoKernels,
+      "two-kernels", ir::parse(kTwoKernels),
       clones_of(platform::standard_levels(),
                 {platform::BindingPolicy::kClose, platform::BindingPolicy::kSpread}));
   ASSERT_EQ(woven.kernels.size(), 2u);
@@ -287,7 +287,7 @@ int main(int argc, char **argv)
 }
 )";
   const auto woven =
-      weave_benchmark("helper-call", kSource,
+      weave_benchmark("helper-call", ir::parse(kSource),
                       clones_of({platform::NamedConfig{"O2", {}}},
                                 {platform::BindingPolicy::kClose}));
   const auto* driver = woven.unit.find_function("driver");
