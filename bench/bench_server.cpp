@@ -22,6 +22,10 @@
 // Every tenant registers a copy of one tenant_kb(), so the artifact
 // also counts the distinct knowledge storage blocks the tenants' AS-RTMs
 // read (knowledge.storage_blocks): copies share one block, so it is 1.
+// The clean regime's events are all well-formed, its tenants unlimited
+// and its breakers closed, so every submit takes the lock-free fast
+// path: clean.ingress_locked counts those that took the ingress lock
+// instead, and is 0.
 //
 // Default is the full run (>= 1k tenants, the ISSUE's >= 1M updates/sec
 // target printed against the measured number); --quick runs a scaled-
@@ -43,6 +47,7 @@
 #include <vector>
 
 #include "margot/asrtm.hpp"
+#include "observability/metrics.hpp"
 #include "server/server.hpp"
 #include "support/bench_json.hpp"
 #include "support/chaos.hpp"
@@ -92,6 +97,7 @@ double now_s() {
 
 struct RegimeResult {
   std::uint64_t events = 0;
+  std::uint64_t ingress_locked = 0;  ///< submits that took the ingress lock
   double seconds = 0.0;
   double throughput_per_s = 0.0;
   double decision_p50_ns = 0.0;
@@ -108,6 +114,8 @@ RegimeResult drive(server::Server& srv, const std::vector<std::uint64_t>& handle
   RegimeResult result;
   std::vector<double> decide_ns;
   decide_ns.reserve(events / decide_every + 1);
+  const Counter& locked = MetricsRegistry::global().counter("server.ingress_locked");
+  const std::uint64_t locked0 = locked.value();
   const double t0 = now_s();
   for (std::size_t i = 0; i < events; ++i) {
     if (per_event_hook) per_event_hook(i);
@@ -124,6 +132,7 @@ RegimeResult drive(server::Server& srv, const std::vector<std::uint64_t>& handle
   srv.drain(120.0);
   result.seconds = now_s() - t0;
   result.events = events;
+  result.ingress_locked = locked.value() - locked0;
   result.throughput_per_s =
       result.seconds > 0 ? static_cast<double>(events) / result.seconds : 0.0;
   result.decision_p50_ns = quantile(decide_ns, 0.5);
@@ -183,6 +192,7 @@ void write_regime(JsonWriter& w, const char* name, const RegimeResult& r) {
   w.kv("drained", r.stats.drained);
   w.kv("shed", r.stats.shed);
   w.kv("conservation_ok", r.conservation_ok ? 1 : 0);
+  w.kv("ingress_locked", r.ingress_locked);
   w.end_object();
 }
 

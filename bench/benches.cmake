@@ -277,9 +277,10 @@ set_tests_properties(warm_start_bench_baseline_rejects_doctored PROPERTIES
 # The multi-tenant server pin (quick mode for CTest): clean / overload /
 # chaos regimes, kill-and-resume exactness, BENCH_server.json artifact
 # gated by machine-stable bounds.  The doctored tests feed the checker
-# artifacts that each break one bound — the overload p99 ratio, and
-# tenants that each read their own copy of the knowledge — and must
-# fail, which shows that each gate can fail.
+# artifacts that each break one bound — the overload p99 ratio, tenants
+# that each read their own copy of the knowledge, and clean submits that
+# took the ingress lock — and must fail, which shows that each gate can
+# fail.
 add_test(NAME server_bench_smoke
   COMMAND bench_server --quick)
 set_tests_properties(server_bench_smoke PROPERTIES
@@ -302,10 +303,12 @@ add_test(NAME server_bench_baseline_rejects_doctored
 set_tests_properties(server_bench_baseline_rejects_doctored PROPERTIES
   LABELS "bench;smoke"
   WILL_FAIL TRUE)
-add_test(NAME server_bench_baseline_rejects_doctored_storage_blocks
-  COMMAND bench_baseline_check
-          ${CMAKE_SOURCE_DIR}/bench/baselines/server.json
-          ${CMAKE_SOURCE_DIR}/bench/baselines/server_doctored_storage_blocks.json)
-set_tests_properties(server_bench_baseline_rejects_doctored_storage_blocks PROPERTIES
-  LABELS "bench;smoke"
-  WILL_FAIL TRUE)
+foreach(bound storage_blocks ingress_locked)
+  add_test(NAME server_bench_baseline_rejects_doctored_${bound}
+    COMMAND bench_baseline_check
+            ${CMAKE_SOURCE_DIR}/bench/baselines/server.json
+            ${CMAKE_SOURCE_DIR}/bench/baselines/server_doctored_${bound}.json)
+  set_tests_properties(server_bench_baseline_rejects_doctored_${bound} PROPERTIES
+    LABELS "bench;smoke"
+    WILL_FAIL TRUE)
+endforeach()

@@ -26,7 +26,7 @@ double CircuitBreaker::cooldown_s() const {
 }
 
 void CircuitBreaker::trip(double now_s) {
-  state_ = State::kOpen;
+  set_state(State::kOpen);
   opened_at_s_ = now_s;
   ++consecutive_trips_;
   ++trips_;
@@ -36,12 +36,12 @@ void CircuitBreaker::trip(double now_s) {
 }
 
 bool CircuitBreaker::allow(double now_s) {
-  switch (state_) {
+  switch (state()) {
     case State::kClosed:
       return true;
     case State::kOpen:
       if (now_s - opened_at_s_ >= cooldown_s()) {
-        state_ = State::kHalfOpen;
+        set_state(State::kHalfOpen);
         probe_successes_ = 0;
         MetricsRegistry::global().counter("server.breaker_half_opens").add(1);
         return true;
@@ -54,12 +54,12 @@ bool CircuitBreaker::allow(double now_s) {
 }
 
 void CircuitBreaker::record_error(double now_s) {
-  if (state_ == State::kHalfOpen) {
+  if (state() == State::kHalfOpen) {
     // A probe failed: straight back to open with a doubled cooldown.
     trip(now_s);
     return;
   }
-  if (state_ == State::kOpen) return;  // already quarantined
+  if (state() == State::kOpen) return;  // already quarantined
   if (now_s - window_start_s_ >= options_.window_s) {
     window_start_s_ = now_s;
     window_errors_ = 0;
@@ -68,15 +68,15 @@ void CircuitBreaker::record_error(double now_s) {
 }
 
 void CircuitBreaker::force_open(double now_s) {
-  if (state_ == State::kOpen) return;
+  if (state() == State::kOpen) return;
   trip(now_s);
 }
 
 void CircuitBreaker::record_ok(double now_s) {
   (void)now_s;
-  if (state_ != State::kHalfOpen) return;
+  if (state() != State::kHalfOpen) return;
   if (++probe_successes_ >= options_.probe_quota) {
-    state_ = State::kClosed;
+    set_state(State::kClosed);
     consecutive_trips_ = 0;  // healthy again: backoff resets
     window_errors_ = 0;
     MetricsRegistry::global().counter("server.breaker_closes").add(1);

@@ -19,10 +19,14 @@
 //
 // Time is injected (seconds, caller's clock), so tests drive the state
 // machine deterministically; there is no internal clock and no thread.
-// The caller serializes access (the server holds the tenant's ingress
-// mutex).
+// The caller serializes every call that may transition (the server
+// holds the tenant's ingress mutex).  The state itself is a relaxed
+// atomic that only those transitions write, so state() may be read
+// without the lock: the server's ingress admits a closed tenant's
+// well-formed feedback on that one load.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 
 namespace socrates::server {
@@ -41,6 +45,8 @@ class CircuitBreaker {
 
   CircuitBreaker() = default;
   explicit CircuitBreaker(Options options) : options_(options) {}
+  CircuitBreaker(const CircuitBreaker&) = delete;
+  CircuitBreaker& operator=(const CircuitBreaker&) = delete;
 
   const Options& options() const { return options_; }
 
@@ -62,16 +68,19 @@ class CircuitBreaker {
   /// already open.
   void force_open(double now_s);
 
-  State state() const { return state_; }
+  /// Safe without the caller's lock; a reader racing a transition sees
+  /// the state before or after it.
+  State state() const { return state_.load(std::memory_order_relaxed); }
   /// Lifetime closed/half-open → open transitions.
   std::size_t trips() const { return trips_; }
   double cooldown_s() const;
 
  private:
   void trip(double now_s);
+  void set_state(State state) { state_.store(state, std::memory_order_relaxed); }
 
   Options options_;
-  State state_ = State::kClosed;
+  std::atomic<State> state_{State::kClosed};
   double window_start_s_ = 0.0;
   std::size_t window_errors_ = 0;
   double opened_at_s_ = 0.0;

@@ -110,6 +110,11 @@ class MpscRing {
 
   bool empty() const { return approx_size() == 0; }
 
+  /// The enqueue cursor: successful pushes over the ring's life.  Each
+  /// try_push that returns true advances it exactly once; pops (and so
+  /// drop-oldest evictions) never move it.
+  std::size_t enqueued() const { return head_.load(std::memory_order_acquire); }
+
   /// Instantaneous occupancy; exact only when producers and the
   /// consumer are quiescent (used for gauges and tests).
   std::size_t approx_size() const {

@@ -294,7 +294,12 @@ CreateResult Server::create_tenant(const std::string& name,
       }
     }
   }
-  auto tenant = std::make_unique<Tenant>(std::move(knowledge));
+  auto tenant = std::make_unique<Tenant>(
+      std::move(knowledge),
+      options_.rate_limit_per_s > 0.0
+          ? TokenBucket(options_.rate_limit_per_s, options_.rate_burst)
+          : TokenBucket(),
+      options_.breaker);
   tenant->name = name;
   tenant->slot = static_cast<std::uint32_t>(slot);
   tenant->shard = tenant->slot % options_.shards;
@@ -306,10 +311,6 @@ CreateResult Server::create_tenant(const std::string& name,
   tenant->posterior = profile.posterior;
   tenant->posterior_weight = profile.posterior_weight;
   tenant->warm_started = result.warm_started;
-  tenant->bucket = options_.rate_limit_per_s > 0.0
-                       ? TokenBucket(options_.rate_limit_per_s, options_.rate_burst)
-                       : TokenBucket();
-  tenant->breaker = CircuitBreaker(options_.breaker);
   // Slot-boundary exception safety: the slot is occupied only between
   // the two statements below, and tenant_count_ is published last —
   // if the runtime build (AS-RTM ctor, configure functor, checkpoint
@@ -356,17 +357,26 @@ Admission Server::submit_feedback(TenantHandle handle, std::size_t op_index,
   static Counter& limited_c = MetricsRegistry::global().counter("server.rate_limited");
   static Counter& accepted_c = MetricsRegistry::global().counter("server.accepted");
   static Counter& shed_c = MetricsRegistry::global().counter("server.shed");
+  static Counter& locked_c = MetricsRegistry::global().counter("server.ingress_locked");
 
-  const double now = now_s();
-  {
+  const bool well_formed = op_index < tenant.op_count && metric < tenant.metric_count &&
+                           std::isfinite(observed) && observed > 0.0;
+  // Fast path: for a closed breaker and an unlimited bucket, allow()
+  // and admit() return true and record_ok() does nothing, so a
+  // well-formed event is admitted without the lock or the clock.  A
+  // submit racing a trip may read the state before it and is admitted,
+  // ordered before the trip.
+  if (!well_formed || !tenant.bucket.unlimited() ||
+      tenant.breaker.state() != CircuitBreaker::State::kClosed) {
+    locked_c.add(1);
+    const double now = now_s();
     std::lock_guard<std::mutex> lock(tenant.ingress_mu);
     if (!tenant.breaker.allow(now)) {
       quarantined_.fetch_add(1, std::memory_order_relaxed);
       quarantined_c.add(1);
       return Admission::kQuarantined;
     }
-    if (op_index >= tenant.op_count || metric >= tenant.metric_count ||
-        !std::isfinite(observed) || observed <= 0.0) {
+    if (!well_formed) {
       // Malformed requests never reach the shard worker: an
       // out-of-range op/metric would trip Asrtm::send_feedback's
       // contract there (terminating the whole server from the worker
@@ -412,7 +422,6 @@ Admission Server::submit_feedback(TenantHandle handle, std::size_t op_index,
     }
     if (result.accepted) {
       accepted = true;
-      accepted_.fetch_add(1, std::memory_order_relaxed);
       accepted_c.add(1);
     } else if (options_.policy == BackpressurePolicy::kReject) {
       shed_.fetch_add(1, std::memory_order_relaxed);
@@ -727,10 +736,16 @@ void Server::restart_shard(std::size_t index) {
       .observe(steady_now_s() - started);
 }
 
+std::uint64_t Server::accepted() const {
+  std::uint64_t accepted = 0;
+  for (const auto& shard : shards_) accepted += shard->ring->enqueued();
+  return accepted;
+}
+
 bool Server::drain(double timeout_s) {
   const double deadline = steady_now_s() + timeout_s;
   while (true) {
-    const std::uint64_t accepted = accepted_.load(std::memory_order_acquire);
+    const std::uint64_t accepted = this->accepted();
     std::uint64_t drained = 0;
     bool empty = true;
     for (const auto& shard : shards_) {
@@ -787,7 +802,7 @@ void Server::checkpoint_all() {
 Server::Stats Server::stats() const {
   Stats s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.accepted = accepted_.load(std::memory_order_relaxed);
+  s.accepted = accepted();
   s.shed = shed_.load(std::memory_order_relaxed);
   s.rate_limited = rate_limited_.load(std::memory_order_relaxed);
   s.quarantined = quarantined_.load(std::memory_order_relaxed);

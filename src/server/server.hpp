@@ -228,7 +228,10 @@ class Server {
   /// knowledge base, non-finite or non-positive observations — are
   /// refused at ingress with kInvalid and count as breaker errors, so
   /// a flood of them quarantines the sender instead of reaching (and
-  /// tripping contracts inside) the shard worker.
+  /// tripping contracts inside) the shard worker.  A well-formed event
+  /// for a tenant whose breaker is closed and whose bucket is unlimited
+  /// skips the ingress lock and the clock (the checks would pass);
+  /// every other call takes the locked path (server.ingress_locked).
   Admission submit_feedback(TenantHandle handle, std::size_t op_index,
                             std::size_t metric, double observed);
 
@@ -362,7 +365,12 @@ class Server {
     /// so a concurrent rebuild swap cannot be observed mid-free.
     std::atomic<std::size_t> pub_best{0};
 
-    std::mutex ingress_mu;  ///< guards bucket/breaker/goal window (submitters)
+    /// Guards bucket/breaker/goal window (submitters).  Two reads skip
+    /// it: breaker.state() (a relaxed atomic only transitions write)
+    /// and bucket.unlimited() (fixed here, at registration), which is
+    /// what lets submit_feedback admit a closed, unlimited tenant's
+    /// well-formed events without the lock or the clock.
+    std::mutex ingress_mu;
     TokenBucket bucket;
     CircuitBreaker breaker;
     double goal_window_start_s = 0.0;
@@ -370,7 +378,9 @@ class Server {
 
     std::atomic<std::uint64_t> applied{0};
 
-    explicit Tenant(margot::KnowledgeBase kb) : knowledge(std::move(kb)) {}
+    Tenant(margot::KnowledgeBase kb, TokenBucket limiter,
+           CircuitBreaker::Options breaker_options)
+        : knowledge(std::move(kb)), bucket(limiter), breaker(breaker_options) {}
   };
 
   struct Shard {
@@ -390,6 +400,10 @@ class Server {
   double steady_now_s() const;  ///< real clock (watchdog), never overridden
   /// Tenants currently in checkpoint degraded (in-memory) mode.
   std::size_t count_durability_degraded() const;
+  /// Events enqueued over every shard (incl. flood copies): the sum of
+  /// the rings' enqueue cursors, which each successful push advances
+  /// exactly once.
+  std::uint64_t accepted() const;
   void start_shard(std::size_t index);
   void shard_worker(std::size_t index);
   void watchdog_loop();
@@ -452,7 +466,6 @@ class Server {
   std::atomic<bool> shutdown_{false};  ///< aborts blocked producers + watchdog
 
   std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> shed_{0};
   /// The kDropOldest part of shed_; drain() counts it, never a kReject
   /// refusal, which was never accepted.

@@ -235,20 +235,23 @@ AdaptiveBinary Pipeline::build(const std::string& benchmark_name,
       work_scale_override > 0.0 ? work_scale_override : options_.work_scale;
   const auto& bench = kernels::find_benchmark(benchmark_name);
   return build_impl(benchmark_name, kernels::benchmark_source(benchmark_name),
-                    bench.model, work_scale);
+                    [&bench](const features::FeatureVector&) { return bench.model; },
+                    work_scale);
 }
 
 AdaptiveBinary Pipeline::build_from_source(const std::string& name,
                                            const std::string& source,
                                            double seq_work_s) {
-  const auto features = cobayn::kernel_features_of_source(source);
-  const auto params = features::estimate_model_params(features, name, seq_work_s);
-  return build_impl(name, source, params, options_.work_scale);
+  return build_impl(
+      name, source,
+      [&](const features::FeatureVector& features) {
+        return features::estimate_model_params(features, name, seq_work_s);
+      },
+      options_.work_scale);
 }
 
 AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& source,
-                                    const platform::KernelModelParams& params,
-                                    double work_scale) {
+                                    const ParamsOf& params_of, double work_scale) {
   report_ = {};
   AdaptiveBinary out;
   out.benchmark = name;
@@ -300,6 +303,10 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
   }
   push_stage("Features", false, features_stage.finish(), features_sup, 0,
              std::move(features_note));
+  // The kernel's platform model: a registered benchmark's calibrated
+  // one, or one estimated from the features above (from the all-zero
+  // fallback when the stage degraded).
+  const platform::KernelModelParams params = params_of(out.kernel_features);
 
   // CobaynPredict: compiler-space pruning.  The trained model is a
   // cached artifact shared across builds and processes.  Fallback: no

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -153,8 +154,12 @@ class Pipeline {
                        double work_scale_override = 0.0);
 
   /// Runs all stages on an arbitrary C source (any file with a kernel_*
-  /// function); the kernel's platform behaviour is estimated from its
-  /// static features, with `seq_work_s` as the sequential baseline.
+  /// function); the kernel's platform behaviour is estimated from the
+  /// Features stage's output, with `seq_work_s` as the sequential
+  /// baseline.  The source is parsed once, by the supervised Parse
+  /// stage.  When the Features stage degrades, the estimate starts from
+  /// its all-zero fallback vector (a generic kernel: 40% parallel,
+  /// bandwidth-bound) instead of failing the build.
   AdaptiveBinary build_from_source(const std::string& name, const std::string& source,
                                    double seq_work_s = 5.0);
 
@@ -175,9 +180,11 @@ class Pipeline {
   Supervisor& supervisor() { return supervisor_; }
 
  private:
+  /// The kernel's platform model, given its Features-stage output.
+  using ParamsOf =
+      std::function<platform::KernelModelParams(const features::FeatureVector&)>;
   AdaptiveBinary build_impl(const std::string& name, const std::string& source,
-                            const platform::KernelModelParams& params,
-                            double work_scale);
+                            const ParamsOf& params_of, double work_scale);
   /// Trains or cache-loads the model; true when it came from the cache.
   bool ensure_cobayn();
   /// Cache-through exploration with per-point fault tolerance (the Dse

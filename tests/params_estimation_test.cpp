@@ -8,8 +8,11 @@
 #include "kernels/registry.hpp"
 #include "margot/context.hpp"
 #include "kernels/sources.hpp"
+#include "margot/kb_io.hpp"
+#include "observability/metrics.hpp"
 #include "socrates/pipeline.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace socrates {
 namespace {
@@ -92,6 +95,10 @@ TEST(BuildFromSource, WholePipelineOnArbitraryCode) {
   EXPECT_EQ(binary.woven.kernels.size(), 1u);
   EXPECT_EQ(binary.woven.kernels[0].kernel_name, "kernel_userapp");
   EXPECT_EQ(binary.knowledge.size(), 512u);
+  // Pinned: estimating the kernel model from the Features stage's
+  // output, with no second parse, must not change the knowledge.
+  EXPECT_EQ(stable_hash64(margot::knowledge_to_string(binary.knowledge)),
+            0x00728393b9de7422ULL);
   // The AS-RTM can decide on it immediately.
   margot::Asrtm asrtm(binary.knowledge);
   asrtm.set_rank(margot::Rank::minimize_exec_time(margot::ContextMetrics::kExecTime));
@@ -105,6 +112,19 @@ TEST(BuildFromSource, RequiresAKernelFunction) {
   Pipeline tc(model, opts);
   EXPECT_THROW(tc.build_from_source("bad", "int main(void) { return 0; }"),
                ContractViolation);
+}
+
+TEST(BuildFromSource, MalformedSourceFailsInsideTheSupervisedParseStage) {
+  const auto model = platform::PerformanceModel::paper_platform();
+  ToolchainOptions opts;
+  opts.use_paper_cfs = true;
+  Pipeline tc(model, opts);
+  Counter& failures = MetricsRegistry::global().counter("supervisor.transient_failures");
+  const std::uint64_t before = failures.value();
+  EXPECT_THROW(tc.build_from_source("bad", "void kernel_x(int n) { return ((1; }"),
+               ir::ParseError);
+  // Every attempt of the Parse stage failed under its supervisor.
+  EXPECT_EQ(failures.value() - before, tc.options().supervisor.max_attempts);
 }
 
 }  // namespace

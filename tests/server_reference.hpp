@@ -12,9 +12,18 @@
 // since registration (goal updates, a rank set through with_tenant) do
 // not.  server_test drives both with one seeded trace and asserts that
 // they decide and correct bit-identically.
+//
+// ReferenceAdmission restates the server's ingress admission the same
+// way: every call takes the locked path, reading the clock once and
+// checking the breaker, then validity, then the bucket (and, for a goal
+// update, the flap window).  The server skips the lock and the clock
+// when those checks cannot refuse; server_test asserts on seeded traces
+// that it still admits exactly what this model admits.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -22,6 +31,9 @@
 
 #include "margot/asrtm.hpp"
 #include "margot/operating_point.hpp"
+#include "server/circuit_breaker.hpp"
+#include "server/server.hpp"
+#include "server/token_bucket.hpp"
 
 namespace socrates::server::reference {
 
@@ -81,6 +93,101 @@ class ReferenceServer {
   }
 
   std::vector<std::unique_ptr<Tenant>> tenants_;
+};
+
+class ReferenceAdmission {
+ public:
+  /// The Server::Stats fields that admission decides.
+  struct Counts {
+    std::uint64_t submitted = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t rate_limited = 0;
+    std::uint64_t quarantined = 0;
+    std::uint64_t invalid = 0;
+    std::uint64_t breaker_trips = 0;
+  };
+
+  ReferenceAdmission(ServerOptions options, std::function<double()> now)
+      : options_(std::move(options)), now_(std::move(now)) {}
+
+  /// Handles are dense and in registration order, as the server's are.
+  std::size_t add_tenant(std::size_t ops, std::size_t metrics) {
+    auto tenant = std::make_unique<Tenant>(options_);
+    tenant->ops = ops;
+    tenant->metrics = metrics;
+    tenants_.push_back(std::move(tenant));
+    return tenants_.size() - 1;
+  }
+
+  /// Admission of one submit_feedback under a ring that never sheds.
+  Admission submit_feedback(std::size_t handle, std::size_t op, std::size_t metric,
+                            double observed) {
+    Tenant& tenant = *tenants_[handle];
+    ++counts_.submitted;
+    const double now = now_();
+    if (!tenant.breaker.allow(now)) {
+      ++counts_.quarantined;
+      return Admission::kQuarantined;
+    }
+    if (op >= tenant.ops || metric >= tenant.metrics || !std::isfinite(observed) ||
+        observed <= 0.0) {
+      tenant.breaker.record_error(now);
+      ++counts_.invalid;
+      return Admission::kInvalid;
+    }
+    if (!tenant.bucket.admit(now)) {
+      ++counts_.rate_limited;
+      return Admission::kRateLimited;
+    }
+    tenant.breaker.record_ok(now);
+    ++counts_.accepted;
+    return Admission::kAccepted;
+  }
+
+  Admission update_goal(std::size_t handle) {
+    Tenant& tenant = *tenants_[handle];
+    const double now = now_();
+    if (!tenant.breaker.allow(now)) {
+      ++counts_.quarantined;
+      return Admission::kQuarantined;
+    }
+    if (now - tenant.goal_window_start_s >= options_.goal_window_s) {
+      tenant.goal_window_start_s = now;
+      tenant.goal_updates_in_window = 0;
+    }
+    if (++tenant.goal_updates_in_window > options_.goal_update_threshold) {
+      tenant.breaker.record_error(now);
+      return Admission::kInvalid;
+    }
+    tenant.breaker.record_ok(now);
+    return Admission::kAccepted;
+  }
+
+  Counts counts() const {
+    Counts out = counts_;
+    for (const auto& tenant : tenants_) out.breaker_trips += tenant->breaker.trips();
+    return out;
+  }
+
+ private:
+  struct Tenant {
+    explicit Tenant(const ServerOptions& options)
+        : bucket(options.rate_limit_per_s > 0.0
+                     ? TokenBucket(options.rate_limit_per_s, options.rate_burst)
+                     : TokenBucket()),
+          breaker(options.breaker) {}
+    std::size_t ops = 0;
+    std::size_t metrics = 0;
+    TokenBucket bucket;
+    CircuitBreaker breaker;
+    double goal_window_start_s = 0.0;
+    std::size_t goal_updates_in_window = 0;
+  };
+
+  ServerOptions options_;
+  std::function<double()> now_;
+  std::vector<std::unique_ptr<Tenant>> tenants_;
+  Counts counts_;
 };
 
 }  // namespace socrates::server::reference

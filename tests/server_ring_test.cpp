@@ -78,6 +78,7 @@ TEST(MpscRing, RejectPolicyFailsWithoutShedding) {
   const PushResult result = push_with_policy(ring, 99, BackpressurePolicy::kReject);
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.shed, 0u);
+  EXPECT_EQ(ring.enqueued(), 4u);  // a refused push does not move the cursor
   EXPECT_EQ(ring.approx_size(), 4u);  // untouched
 }
 
@@ -87,6 +88,8 @@ TEST(MpscRing, DropOldestPolicyEvictsTheOldestEntry) {
   const PushResult result = push_with_policy(ring, 99, BackpressurePolicy::kDropOldest);
   EXPECT_TRUE(result.accepted);
   EXPECT_EQ(result.shed, 1u);
+  // Five pushes landed; the eviction is a pop, so the cursor counts 5.
+  EXPECT_EQ(ring.enqueued(), 5u);
   // 0 (the oldest) is gone; 1, 2, 3, 99 remain in order.
   int out = -1;
   ASSERT_TRUE(ring.try_pop(out));
@@ -196,6 +199,7 @@ TEST(MpscRing, ConcurrentDropOldestConservesEvents) {
   consumer.join();
   // Conservation: every accepted push was either drained or shed.
   EXPECT_EQ(drained.load() + shed.load(), kProducers * kPerProducer);
+  EXPECT_EQ(ring.enqueued(), kProducers * kPerProducer);
   EXPECT_TRUE(ring.empty());
 }
 
@@ -239,6 +243,7 @@ TEST(MpscRing, ConcurrentRejectNeverLosesAcceptedEvents) {
   consumer.join();
   EXPECT_EQ(accepted.load() + rejected.load(), kProducers * kPerProducer);
   EXPECT_EQ(drained.load(), accepted.load());  // accepted events all arrive
+  EXPECT_EQ(ring.enqueued(), accepted.load());
 }
 
 TEST(MpscRing, SeededBatchDrainOrderIsDeterministic) {

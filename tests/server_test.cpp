@@ -567,6 +567,223 @@ TEST_F(ServerTest, DropOldestPolicyBoundsTheRingWithoutBlocking) {
   EXPECT_EQ(stats.drained + stats.shed, stats.accepted);  // conservation
 }
 
+// ---- admission: the lock-free fast path against the locked reference -------------
+
+/// A small breaker and flap window, so a short seeded trace crosses
+/// every breaker state.
+ServerOptions admission_options(ServerOptions o, double rate_limit_per_s) {
+  o.ring_capacity = 1024;
+  o.rate_limit_per_s = rate_limit_per_s;
+  o.rate_burst = 6.0;
+  o.breaker.error_threshold = 4;
+  o.breaker.window_s = 1.0;
+  o.breaker.base_cooldown_s = 0.5;
+  o.breaker.max_cooldown_s = 4.0;
+  o.breaker.probe_quota = 2;
+  o.goal_update_threshold = 4;
+  o.goal_window_s = 1.0;
+  return o;
+}
+
+void configure_goal(margot::Asrtm& asrtm) {
+  asrtm.set_rank(Rank::minimize_exec_time(0));
+  asrtm.add_constraint({0, margot::ComparisonOp::kLess, 2.0, 0, 0.0});
+}
+
+TEST_F(ServerTest, AdmissionMatchesTheLockedReferenceOnSeededTraces) {
+  constexpr std::size_t kTenants = 3;
+  constexpr std::size_t kMetrics = 2;
+  constexpr int kSteps = 600;
+  const std::size_t ops = make_kb().size();
+  for (const double rate : {0.0, 20.0}) {
+    for (const std::uint64_t seed : {21u, 22u, 23u}) {
+      SCOPED_TRACE(testing::Message() << "rate " << rate << ", seed " << seed);
+      const ServerOptions options = admission_options(base_options(), rate);
+      Server server(options);
+      std::atomic<double> now{0.0};
+      server.set_time_source([&now] { return now.load(); });
+      reference::ReferenceAdmission ref(options, [&now] { return now.load(); });
+      std::vector<Server::TenantHandle> handles;
+      for (std::size_t t = 0; t < kTenants; ++t) {
+        Server::TenantHandle h = 0;
+        ASSERT_TRUE(server.register_tenant(std::to_string(t), make_kb(), configure_goal, &h));
+        ASSERT_EQ(ref.add_tenant(ops, kMetrics), h);
+        handles.push_back(h);
+      }
+
+      Rng rng(seed);
+      const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      };
+      for (int step = 0; step < kSteps; ++step) {
+        const std::size_t t = pick(kTenants);
+        const std::size_t kind = pick(8);
+        SCOPED_TRACE(testing::Message() << "step " << step << ", kind " << kind << ", tenant " << t);
+        const auto submit = [&](std::size_t op, std::size_t metric, double value) {
+          EXPECT_EQ(server.submit_feedback(handles[t], op, metric, value),
+                    ref.submit_feedback(t, op, metric, value));
+        };
+        switch (kind) {
+          case 0:
+          case 1:
+          case 2:  // a burst of well-formed events
+            for (std::size_t k = pick(6) + 1; k > 0; --k)
+              submit(pick(ops), pick(kMetrics), rng.uniform(0.5, 2.0));
+            break;
+          case 3:  // non-finite
+            submit(pick(ops), pick(kMetrics),
+                   pick(2) == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                : std::numeric_limits<double>::infinity());
+            break;
+          case 4:  // zero or negative
+            submit(pick(ops), pick(kMetrics), pick(2) == 0 ? 0.0 : -rng.uniform(0.1, 5.0));
+            break;
+          case 5:  // op or metric out of range
+            if (pick(2) == 0) {
+              submit(ops + pick(3), pick(kMetrics), 1.0);
+            } else {
+              submit(pick(ops), kMetrics + pick(3), 1.0);
+            }
+            break;
+          case 6:  // a goal flood
+            for (std::size_t k = pick(8) + 1; k > 0; --k)
+              EXPECT_EQ(server.update_goal(handles[t], 0, rng.uniform(1.5, 2.5)),
+                        ref.update_goal(t));
+            break;
+          default:  // the clock moves
+            now.store(now.load() + rng.uniform(0.0, 0.6));
+            break;
+        }
+        if (HasFailure()) return;
+      }
+
+      ASSERT_TRUE(server.drain(10.0));
+      const Server::Stats stats = server.stats();
+      const reference::ReferenceAdmission::Counts expected = ref.counts();
+      EXPECT_EQ(stats.submitted, expected.submitted);
+      EXPECT_EQ(stats.accepted, expected.accepted);
+      EXPECT_EQ(stats.rate_limited, expected.rate_limited);
+      EXPECT_EQ(stats.quarantined, expected.quarantined);
+      EXPECT_EQ(stats.invalid, expected.invalid);
+      EXPECT_EQ(stats.breaker_trips, expected.breaker_trips);
+      EXPECT_EQ(stats.drained, stats.accepted);
+      // The trace reached every outcome it is meant to cover.
+      EXPECT_GT(expected.accepted, 0u);
+      EXPECT_GT(expected.quarantined, 0u);
+      EXPECT_GT(expected.invalid, 0u);
+      EXPECT_GT(expected.breaker_trips, 0u);
+      EXPECT_EQ(expected.rate_limited > 0, rate > 0.0);
+    }
+  }
+}
+
+TEST_F(ServerTest, ClosedUnlimitedTenantAdmitsWithoutTheClock) {
+  ServerOptions options = base_options();
+  options.breaker.error_threshold = 4;
+  options.breaker.base_cooldown_s = 60.0;  // stays open for the rest of the test
+  Server server(options);
+  std::atomic<std::uint64_t> clock_calls{0};
+  server.set_time_source([&clock_calls] {
+    ++clock_calls;
+    return 0.0;
+  });
+  Counter& locked = MetricsRegistry::global().counter("server.ingress_locked");
+  Server::TenantHandle h = 0;
+  ASSERT_TRUE(server.register_tenant("steady", make_kb(), configure_min_time, &h));
+  const std::uint64_t clock0 = clock_calls.load();
+  const std::uint64_t locked0 = locked.value();
+
+  for (int i = 0; i < 100; ++i)
+    ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.2), Admission::kAccepted);
+  EXPECT_EQ(clock_calls.load() - clock0, 0u)
+      << "well-formed feedback to a closed, unlimited tenant read the clock";
+  EXPECT_EQ(locked.value() - locked0, 0u);
+
+  // Malformed events take the locked path, read the clock, and trip the
+  // breaker; from then on well-formed events take the locked path too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(server.submit_feedback(h, 0, 0, nan), Admission::kInvalid);
+  EXPECT_EQ(clock_calls.load() - clock0, 4u);
+  EXPECT_EQ(server.submit_feedback(h, 0, 0, 1.2), Admission::kQuarantined);
+  EXPECT_EQ(clock_calls.load() - clock0, 5u);
+  EXPECT_EQ(locked.value() - locked0, 5u);
+  ASSERT_TRUE(server.drain(5.0));
+  EXPECT_EQ(server.tenant_status(h).applied, 100u);
+}
+
+TEST_F(ServerTest, BreakerTripsRaceLockFreeAdmission) {
+  // One thread floods malformed events until the breaker trips, then
+  // moves the clock past the cooldown, so that the next locked submit
+  // half-opens it and the probes close it again.  Two threads submit
+  // well-formed events all along, mostly on the lock-free fast path.
+  constexpr int kCycles = 4;
+  constexpr int kSubmitters = 2;
+  ServerOptions options = base_options();
+  options.ring_capacity = 256;
+  options.breaker.error_threshold = 8;
+  options.breaker.base_cooldown_s = 0.5;
+  options.breaker.max_cooldown_s = 0.5;
+  options.breaker.probe_quota = 2;
+  Server server(options);
+  std::atomic<double> now{0.0};
+  server.set_time_source([&now] { return now.load(); });
+  Server::TenantHandle h = 0;
+  ASSERT_TRUE(server.register_tenant("raced", make_kb(), configure_min_time, &h));
+  Counter& half_opens = MetricsRegistry::global().counter("server.breaker_half_opens");
+  const std::uint64_t half_opens0 = half_opens.value();
+
+  std::atomic<bool> flood_done{false};
+  std::atomic<std::uint64_t> submitted{0};
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> disallowed{0};
+  std::vector<std::thread> submitters;
+  for (int i = 0; i < kSubmitters; ++i) {
+    submitters.emplace_back([&] {
+      // Keep submitting after the flood, so the last cycle closes.
+      std::uint64_t after_flood = 0;
+      while (after_flood < 500) {
+        const Admission admission = server.submit_feedback(h, 0, 0, 1.2);
+        ++submitted;
+        if (admission == Admission::kAccepted) {
+          ++accepted;
+        } else if (admission != Admission::kQuarantined) {
+          ++disallowed;
+        }
+        if (flood_done.load()) ++after_flood;
+      }
+    });
+  }
+  std::thread flood([&] {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      while (submitted.load() < 200 * static_cast<std::uint64_t>(cycle + 1))
+        std::this_thread::yield();
+      while (true) {
+        const Admission admission = server.submit_feedback(h, 0, 0, nan);
+        if (admission == Admission::kQuarantined) break;  // tripped
+        if (admission != Admission::kInvalid) ++disallowed;
+      }
+      now.store(now.load() + 1.0);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (server.tenant_status(h).breaker != CircuitBreaker::State::kClosed &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    }
+    flood_done.store(true);
+  });
+  flood.join();
+  for (auto& thread : submitters) thread.join();
+
+  EXPECT_EQ(disallowed.load(), 0u) << "an outcome outside the admission contract";
+  EXPECT_EQ(server.tenant_status(h).breaker, CircuitBreaker::State::kClosed);
+  EXPECT_GE(half_opens.value() - half_opens0, static_cast<std::uint64_t>(kCycles));
+  ASSERT_TRUE(server.drain(20.0));
+  const Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.breaker_trips, static_cast<std::uint64_t>(kCycles));
+  EXPECT_EQ(stats.accepted, accepted.load());
+  EXPECT_EQ(stats.drained + stats.shed, stats.accepted);
+}
+
 TEST_F(ServerTest, WatchdogRestartsAStalledShardAndRecoversItsTenants) {
   ServerOptions options = base_options();
   options.shards = 1;
